@@ -14,35 +14,61 @@ odd-indexed one a certified upper bound.  The terminal convergent
 D_{n-l-1} equals S exactly.
 
 Convergents are computed by the forward two-term recursion on numerators
-A_m and denominators B_m (no bottom-up restart needed to refine), with
-joint power-of-two rescaling to dodge overflow; rescaling by a power of
-two is exact in binary floating point, so the ratios A_m/B_m are
-bit-identical whether or not a rescale fired.
+A_m and denominators B_m (no bottom-up restart needed to refine).  In
+floats A and B are rescaled jointly by 2**-512 when either outgrows
+2**512 and by 2**512 when both fall below 2**-512, so they neither
+overflow nor underflow at any depth; a power of two is exact in binary
+floating point, so the ratios A_m/B_m are bit-identical whether or not a
+rescale fired.
 
-All of this is scalar-generic: feed Fraction inputs and every convergent
-comes out as an exact rational, which is how the interleaving property is
-verified in the test suite.
+The recursion is scalar-generic: feed Fraction inputs to
+convergent_stream and every convergent comes out as an exact rational,
+which is how the interleaving property is verified in the test suite.
+bracket_tail always recurses in floats, with coefficients built from the
+exact ratio p/q rounded once, and pushes its endpoints out by a margin
+derived from the error bounds of the lead term, the recursion and that
+rounding (see _guard).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import LogProb, _as_fraction, binom_tail_exact, log_binom_pmf
+from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _as_fraction, binom_tail_exact, log_binom_pmf
 
-# |A| or |B| beyond this triggers a joint rescale by RESCALE (exact in
-# binary floats, so convergent ratios are unaffected bit-for-bit).
+# |A| or |B| beyond RESCALE_THRESHOLD triggers a joint rescale by RESCALE,
+# and both below RESCALE one by RESCALE_THRESHOLD (exact in binary
+# floats, so convergent ratios are unaffected bit-for-bit).
 RESCALE_THRESHOLD = 2.0**512
 RESCALE = 2.0**-512
 
-# Certified-rounding margin: bracket endpoints computed in double
-# precision are pushed outward by this relative amount so that the
-# enclosure survives the accumulated roundoff of the recursion (a few
-# hundred flops at ~1e-16 each).
-_GUARD = 1e-12
+# The certified-rounding margin, in units of u = 2**-53 relative
+# (first-order bounds, Higham, *Accuracy and Stability of Numerical
+# Algorithms*, ch. 3):
+#   lead term  LOG_PMF_ERROR_ULPS * max(|lead_log|, 1): the stated bound
+#              on log_binom_pmf, an absolute error in the log and so a
+#              relative one in exp(lead_log);
+#   recursion  _RECURSION_ULPS * (k + kappa) at depth k, with
+#              kappa = r/(1-r) and r = b(l+2)/b(l+1) < 1.  Each depth
+#              makes two half-steps of two roundings on A and on B, from
+#              coefficients of four; near the mean C_1 = 1/(1 - c_1)
+#              cancels by c_1/(1 - c_1), about kappa; and rounding p/q
+#              once moves S by at most kappa*u, as rho dS/drho / S is the
+#              mean index of S's terms, whose ratios fall from r.  Against
+#              the exact rational recursion the two together stayed below
+#              4.3 (k + kappa) (n up to 1e6, depth up to 400); 16 is taken;
+#   rest       _BASE_ULPS for exp and the products that form an endpoint.
+_U = 2.0**-53
+_RECURSION_ULPS = 16
+_BASE_ULPS = 4
+
+
+def _guard(lead_log: float, k: int, kappa: float) -> float:
+    """Relative margin that covers the roundoff of a bracket at depth k."""
+    return _U * (LOG_PMF_ERROR_ULPS * max(-lead_log, 1.0) + _RECURSION_ULPS * (k + kappa) + _BASE_ULPS)
 
 
 class MethodNotApplicableError(ValueError):
@@ -90,6 +116,25 @@ class TailQuery:
         return self.n - self.l - 1
 
 
+def _odds(p) -> Fraction:
+    """p/q exactly."""
+    pf = _as_fraction(p)
+    return pf / (1 - pf)
+
+
+def _stream_odds(p):
+    """p/q as the recursion uses it: exact for a Fraction, else rounded once."""
+    odds = _odds(p)
+    return odds if isinstance(p, (Fraction, int)) else float(odds)
+
+
+def _pair(n: int, l: int, k: int, odds):
+    """(c_k, d_k) for the given p/q."""
+    c = (n - k - l) * (l + k) * odds / ((l + 2 * k - 1) * (l + 2 * k))
+    d = k * (n + k) * odds / ((l + 2 * k) * (l + 2 * k + 1))
+    return c, d
+
+
 @dataclass(frozen=True)
 class CfCoefficients:
     """One coefficient pair (c_k, d_k) of the tail's continued fraction."""
@@ -105,14 +150,13 @@ def cf_coefficients(query: TailQuery, k: int) -> CfCoefficients:
     c_k = (n-k-l)(l+k) / [(l+2k-1)(l+2k)] * p/q
     d_k = k(n+k)      / [(l+2k)(l+2k+1)] * p/q
 
-    With Fraction p the pair is exact; c_{n-l} vanishes identically.
+    With Fraction p the pair is exact; c_{n-l} vanishes identically.  With
+    float p, p/q is the exact ratio rounded once.
     """
-    n, l, p = query.n, query.l, query.p
+    n, l = query.n, query.l
     if not 1 <= k <= n - l:
         raise ValueError(f"k must lie in [1, n-l]=[1, {n - l}], got {k}")
-    ratio = p / (1 - p)
-    c = (n - k - l) * (l + k) * ratio / ((l + 2 * k - 1) * (l + 2 * k))
-    d = k * (n + k) * ratio / ((l + 2 * k) * (l + 2 * k + 1))
+    c, d = _pair(n, l, k, _stream_odds(query.p))
     return CfCoefficients(k=k, c=c, d=d)
 
 
@@ -142,18 +186,19 @@ class ConvergentState:
 
 
 def _push(state: ConvergentState, coeff, sign: int) -> ConvergentState:
-    """One half-step: X_new = X_curr + sign*coeff*X_prev for A and B."""
+    """One half-step: X_new = X_curr + sign*coeff*X_prev for A and B.
+
+    Float states are rescaled both ways by an exact power of two.
+    """
     A = state.A_curr + sign * coeff * state.A_prev
     B = state.B_curr + sign * coeff * state.B_prev
-    scale = state.scale
-    if isinstance(A, float) and (abs(A) > RESCALE_THRESHOLD or abs(B) > RESCALE_THRESHOLD):
-        A *= RESCALE
-        B *= RESCALE
-        A_c = state.A_curr * RESCALE
-        B_c = state.B_curr * RESCALE
-        scale *= RESCALE
-        return ConvergentState(state.m + 1, A_c, A, B_c, B, scale)
-    return ConvergentState(state.m + 1, state.A_curr, A, state.B_curr, B, scale)
+    A_c, B_c, scale = state.A_curr, state.B_curr, state.scale
+    if isinstance(A, float):
+        big = max(abs(A), abs(B))
+        if big > RESCALE_THRESHOLD or big < RESCALE:
+            f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
+            A, B, A_c, B_c, scale = A * f, B * f, A_c * f, B_c * f, scale * f
+    return ConvergentState(state.m + 1, A_c, A, B_c, B, scale)
 
 
 def advance_convergents(state: ConvergentState, coeffs: CfCoefficients) -> ConvergentState:
@@ -172,22 +217,28 @@ def advance_convergents(state: ConvergentState, coeffs: CfCoefficients) -> Conve
     return _push(after_c, coeffs.d, +1)
 
 
+def _convergents(query: TailQuery, odds):
+    """Yield (k, kind, value) for C_1, D_1, ... in the scalar type of odds."""
+    if isinstance(odds, Fraction):
+        state = ConvergentState(1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), 1.0)
+    else:
+        state = ConvergentState()
+    n, l = query.n, query.l
+    for k in range(1, query.k_terminal + 1):
+        c, d = _pair(n, l, k, odds)
+        state = _push(state, c, -1)
+        yield k, "C", state.value
+        state = _push(state, d, +1)
+        yield k, "D", state.value
+
+
 def convergent_stream(query: TailQuery):
     """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
 
     kind is "C" or "D".  Values are floats or Fractions depending on the
     scalar type of query.p.
     """
-    exact = isinstance(query.p, (Fraction, int))
-    state = ConvergentState() if not exact else ConvergentState(
-        1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), 1.0
-    )
-    for k in range(1, query.k_terminal + 1):
-        cf = cf_coefficients(query, k)
-        state = _push(state, cf.c, -1)
-        yield k, "C", state.value
-        state = _push(state, cf.d, +1)
-        yield k, "D", state.value
+    return _convergents(query, _stream_odds(query.p))
 
 
 @dataclass(frozen=True)
@@ -210,54 +261,58 @@ def bracket_tail(
 ) -> TailBracket:
     """Two-sided certified bracket for P(S_n > l).
 
-    Walks the convergent stream, keeping the largest even-indexed
+    Walks the float convergent stream, keeping the largest even-indexed
     convergent (lower side) and the smallest odd-indexed one (upper side);
     the bracket is the pair scaled by the lead term, with endpoints pushed
-    outward by a small certified-rounding margin.  Iteration stops as soon
-    as upper - lower <= tol * upper (checked after every new convergent,
-    so a run may stop midway through a depth), or at the terminal depth
-    n - l - 1 where the last convergent equals the tail exactly, or at
-    k_max, whichever comes first.
+    outward by the derived rounding margin _guard.  Iteration stops as
+    soon as the pushed-out endpoints satisfy upper - lower <= tol * upper
+    (checked after every new convergent, so a run may stop midway through
+    a depth), or at the terminal depth n - l - 1 where the last convergent
+    equals the tail exactly, or at k_max, whichever comes first.
+    converged is True exactly when the returned endpoints meet tol.
 
     If k_max cuts the run before tol is met the best bracket so far is
     returned with converged=False.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    n, l = query.n, query.l
     k_cap = query.k_terminal if k_max is None else min(k_max, query.k_terminal)
-    if k_cap < 1:
-        # n - l - 1 == 0: the tail is the lead term alone, bracket is exact.
-        lead_log = log_binom_pmf(query.n, query.l + 1, query.p)
-        val = math.exp(lead_log)
-        return TailBracket(val * (1 - _GUARD), min(val * (1 + _GUARD), 1.0),
-                           0, lead_log, True)
+    if k_cap < 1 and query.k_terminal > 0:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    lead_log = log_binom_pmf(n, l + 1, query.p)
+    lead = math.exp(lead_log)
+    odds = float(_odds(query.p))
+    r = (n - l - 1) * odds / (l + 2)  # b(l+2)/b(l+1), below 1 as l > np
+    kappa = min(r / (1.0 - r), query.k_terminal) if r < 1.0 else query.k_terminal
 
-    lead_log = log_binom_pmf(query.n, query.l + 1, query.p)
+    def endpoints(lo, hi, k):
+        g = _guard(lead_log, k, kappa)
+        upper = min(lead * hi * (1.0 + g), 1.0)
+        return max(lead * lo * (1.0 - g), 0.0), upper
+
+    if k_cap < 1:
+        # l = n - 1: the tail is the lead term alone.
+        lower, upper = endpoints(1.0, 1.0, 0)
+        return TailBracket(lower, upper, 0, lead_log, upper - lower <= tol * upper)
+
     best_lo = 0.0  # even side, in S units
-    best_hi = math.inf  # odd side
-    k_used = 0
-    converged = False
-    for k, kind, value in convergent_stream(query):
+    best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
+    for k, kind, v in _convergents(query, odds):
         if k > k_cap:
             break
-        v = float(value)
         k_used = k
         if k == query.k_terminal and kind == "D":
             best_lo = best_hi = v  # terminal convergent equals S exactly
-            converged = True
-            break
-        if k % 2 == 0:
+        elif k % 2 == 0:
             best_lo = max(best_lo, v)
         else:
             best_hi = min(best_hi, v)
-        if best_hi - best_lo <= tol * best_hi:
-            converged = True
+        lower, upper = endpoints(best_lo, best_hi, k)
+        converged = upper - lower <= tol * upper
+        if converged:
             break
-
-    lead = math.exp(lead_log)
-    lower = max(lead * best_lo * (1.0 - _GUARD), 0.0)
-    upper = lead * best_hi * (1.0 + _GUARD) if best_hi < math.inf else 1.0
-    return TailBracket(lower, min(upper, 1.0), k_used, lead_log, converged)
+    return TailBracket(lower, upper, k_used, lead_log, converged)
 
 
 def left_tail_bracket(
@@ -269,7 +324,8 @@ def left_tail_bracket(
     counts failures, S' ~ Binomial(n, q).  The flipped threshold must
     itself clear the flipped mean, which is what the l < n*p - 1 bound
     guarantees; inside the sliver np-1 <= l <= np neither orientation is
-    bracketable and binom_tail_exact is the tool.
+    bracketable and binom_tail_exact is the tool.  q is exact, and the
+    bracket runs in floats like any other.
     """
     flipped = TailQuery(n=n, l=n - l - 1, p=1 - _as_fraction(p))
     return bracket_tail(flipped, tol=tol, k_max=k_max)

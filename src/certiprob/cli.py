@@ -730,6 +730,19 @@ def _iter_leaf_parsers(parser):
                     yield sp
 
 
+def _parsed_inputs(args) -> dict:
+    """A command's parsed arguments, as its error envelope echoes them.
+
+    The handler and the --format flag are left out, and so are the global
+    --seed and --tol when not given.
+    """
+    inputs = {k: v for k, v in vars(args).items() if k not in ("fn", "cmd", "format")}
+    for key in ("seed", "global_tol"):
+        if inputs.get(key) is None:
+            inputs.pop(key, None)
+    return inputs
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -741,9 +754,10 @@ def main(argv=None) -> int:
             print(f"warning: {w.message}", file=sys.stderr)
         return code
     except (ValueError, ArithmeticError) as exc:
+        inputs = _parsed_inputs(args)
         envelope = {
-            "command": args.cmd,
-            "inputs": {},
+            "command": " ".join(filter(None, (args.cmd, inputs.pop("sub", None)))),
+            "inputs": inputs,
             "result": None,
             "provenance": [],
             "warnings": [],

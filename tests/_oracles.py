@@ -45,6 +45,42 @@ def log_pmf_reference(n: int, k: int, p) -> mpmath.mpf:
     return mpmath.log(mpmath.mpf(num)) - n * mpmath.log(mpmath.mpf(pf.denominator))
 
 
+def log_pmf_mpmath(n: int, k: int, p) -> mpmath.mpf:
+    """ln pmf from log-gamma at 50 digits, p taken as its exact rational."""
+    pf = as_fraction(p)
+    pm = mpmath.mpf(pf.numerator) / pf.denominator
+    qm = mpmath.mpf(pf.denominator - pf.numerator) / pf.denominator
+    return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            + k * mpmath.log(pm) + (n - k) * mpmath.log(qm))
+
+
+def tail_interval_mpmath(n: int, l: int, p):
+    """(lo, hi) enclosing P(S_n > l), for l >= n*p, summed at 50 digits.
+
+    Terms run up from b(l+1) by the pmf ratio, which falls below 1 and
+    keeps falling, so once a term t is negligible the rest is at most
+    t * r / (1 - r) for the next ratio r.
+    """
+    pf = as_fraction(p)
+    pm = mpmath.mpf(pf.numerator) / pf.denominator
+    qm = mpmath.mpf(pf.denominator - pf.numerator) / pf.denominator
+    k = l + 1
+    t = mpmath.exp(log_pmf_mpmath(n, k, pf))
+    total = t
+    rest = mpmath.mpf(0)
+    eps = mpmath.mpf(10) ** -45
+    while k < n:
+        r = mpmath.mpf(n - k) / (k + 1) * pm / qm
+        t *= r
+        total += t
+        k += 1
+        if t < eps * total:
+            rest = t * r / (1 - r)
+            break
+    slack = mpmath.mpf(10) ** -40
+    return total * (1 - slack), (total + rest) * (1 + slack)
+
+
 def lead_term_fraction(n: int, l: int, p) -> Fraction:
     """b(l+1; n, p) exactly."""
     pf = as_fraction(p)

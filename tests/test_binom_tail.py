@@ -19,7 +19,7 @@ from certiprob.binom_tail import (
 )
 from certiprob.numerics import binom_tail_exact
 
-from _oracles import lead_term_fraction, tail_fraction_oracle
+from _oracles import lead_term_fraction, tail_fraction_oracle, tail_interval_mpmath
 
 
 def random_valid_query(rng, n_max=300, exact=True):
@@ -158,6 +158,19 @@ class TestConvergentRecursion:
             scaled.append(state.value)
         assert plain == scaled  # bit-identical ratios
 
+    def test_walk_to_terminal_depth_without_underflow(self):
+        # B shrinks about 100x a depth here; without the upward rescale it
+        # reached 0 at k=348 and the walk raised NumericDegeneracyError
+        q = TailQuery(100000, 31000, 0.3)
+        last = None
+        for last in convergent_stream(q):
+            pass
+        k, kind, value = last
+        assert (k, kind) == (q.k_terminal, "D")
+        tail = value * math.exp(bracket_tail(q, tol=1e-2).lead_term_log)
+        exact = binom_tail_exact(q.n, q.l, q.p)
+        assert abs(tail - exact) <= 1e-12 * exact
+
 
 class TestBracketTail:
     def test_flagship_certified_at_textbook_depth(self):
@@ -192,6 +205,30 @@ class TestBracketTail:
         assert not bracket.converged
         assert bracket.k_used == 3
         assert bracket.lower < bracket.upper
+
+    def test_converged_means_width_within_tol(self):
+        # the guard is applied before the tol test, so converged brackets
+        # meet tol on the endpoints they return
+        bracket = bracket_tail(TailQuery(9000, 2800, 0.3), tol=1e-12)
+        assert bracket.converged
+        assert bracket.upper - bracket.lower <= 1e-12 * bracket.upper
+        lo, hi = tail_interval_mpmath(9000, 2800, Fraction(0.3))
+        assert bracket.lower <= lo and hi <= bracket.upper
+
+    def test_encloses_reference_at_a_million_trials(self):
+        n, p = 10**6, 0.3
+        for l, tol in ((300700, 1e-8), (302000, 1e-12)):
+            bracket = bracket_tail(TailQuery(n, l, p), tol=tol)
+            lo, hi = tail_interval_mpmath(n, l, Fraction(p))
+            assert bracket.converged
+            assert bracket.lower <= lo and hi <= bracket.upper
+
+    def test_depth_cap_below_one(self):
+        # the lead term alone is no bracket while the fraction has depth
+        with pytest.raises(ValueError):
+            bracket_tail(TailQuery(100, 40, 0.3), k_max=0)
+        bracket = bracket_tail(TailQuery(10, 9, 0.5), k_max=0)
+        assert bracket.converged and bracket.lower <= 0.5**10 <= bracket.upper
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,21 @@ class TestTailCommand:
         assert code == 1
         assert env["error"]["type"] == "MethodNotApplicableError"
 
+    def test_error_envelope_echoes_inputs(self, capsys):
+        code, env = run_json(capsys, "tail", "--n", "100", "--l", "200", "--p", "0.3")
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
+        assert env["inputs"] == {"n": 100, "l": 200, "p": 0.3, "tol": None, "kmax": None}
+
+    def test_error_envelope_names_subcommand(self, capsys):
+        code, env = run_json(
+            capsys, "--seed", "7", "ruin", "bounds", "--a", "6", "--b", "4",
+            "--alpha", "2", "--beta", "1", "--p", "1/3",
+        )
+        assert code == 1
+        assert env["command"] == "ruin bounds"
+        assert env["inputs"] == {"seed": 7, "a": 6, "b": 4, "alpha": 2, "beta": 1, "p": "1/3"}
+
 
 class TestFormats:
     def test_json_csv_payloads_match(self, capsys):
