@@ -33,6 +33,7 @@ rounding (see _guard).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -64,6 +65,9 @@ RESCALE = 2.0**-512
 _U = 2.0**-53
 _RECURSION_ULPS = 16
 _BASE_ULPS = 4
+# Below the normal range floats round in absolute steps of 2**-1074, which
+# no relative margin covers; an upper endpoint there only certifies [0, _TINY].
+_TINY = sys.float_info.min
 
 
 def _guard(lead_log: float, k: int, kappa: float) -> float:
@@ -272,7 +276,10 @@ def bracket_tail(
     converged is True exactly when the returned endpoints meet tol.
 
     If k_max cuts the run before tol is met the best bracket so far is
-    returned with converged=False.
+    returned with converged=False.  Endpoints are zero or normal floats:
+    a lower one below sys.float_info.min becomes 0.0, and once the upper
+    one falls below it the walk stops with [0.0, sys.float_info.min] and
+    converged=False.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -289,12 +296,17 @@ def bracket_tail(
     def endpoints(lo, hi, k):
         g = _guard(lead_log, k, kappa)
         upper = min(lead * hi * (1.0 + g), 1.0)
-        return max(lead * lo * (1.0 - g), 0.0), upper
+        lower = lead * lo * (1.0 - g)
+        return (lower if lower >= _TINY else 0.0), upper
+
+    def bracket(lower, upper, k):
+        if upper < _TINY:
+            return TailBracket(0.0, _TINY, k, lead_log, False)
+        return TailBracket(lower, upper, k, lead_log, upper - lower <= tol * upper)
 
     if k_cap < 1:
         # l = n - 1: the tail is the lead term alone.
-        lower, upper = endpoints(1.0, 1.0, 0)
-        return TailBracket(lower, upper, 0, lead_log, upper - lower <= tol * upper)
+        return bracket(*endpoints(1.0, 1.0, 0), 0)
 
     best_lo = 0.0  # even side, in S units
     best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
@@ -309,10 +321,9 @@ def bracket_tail(
         else:
             best_hi = min(best_hi, v)
         lower, upper = endpoints(best_lo, best_hi, k)
-        converged = upper - lower <= tol * upper
-        if converged:
+        if upper - lower <= tol * upper or upper < _TINY:
             break
-    return TailBracket(lower, upper, k_used, lead_log, converged)
+    return bracket(lower, upper, k_used)
 
 
 def left_tail_bracket(

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 _FAIRNESS_TOL = 1e-12
 
@@ -83,53 +82,49 @@ def ruin_bounds_fair(game: RuinGame):
 
 def _absorption_probability(game: RuinGame, tol: float, side: str) -> float:
     """Solve the banded absorption system for the chosen ruin event."""
-    a, b, alpha, beta, p, q = game.a, game.b, game.alpha, game.beta, game.p, game.q
-    lo, hi = alpha, a + b - beta
-    m = hi - lo + 1
-    # (I - T) u = rhs over transient states; bandwidths (alpha below, beta above).
+    from scipy.linalg import solve_banded  # scipy loads on the first solve only
+
+    # float once: a Fraction p would turn p * ndarray into an object array
+    a, b, alpha, beta = game.a, game.b, game.alpha, game.beta
+    p, q = float(game.p), float(game.q)
+    m = a + b - alpha - beta + 1
+    # (I - T) u = rhs over the m transient states c = alpha + i, with alpha
+    # bands below the diagonal and beta above.  A win takes i to i + beta,
+    # still transient for i < up; a loss takes i to i - alpha, transient for
+    # i >= alpha, so for targets below down.  A chain may be shorter than a
+    # stake: up and down are clamped at 0, as a negative slice bound wraps.
+    up, down = max(m - beta, 0), max(m - alpha, 0)
     ab = np.zeros((alpha + beta + 1, m))
+    ab[beta] = 1.0  # diagonal in LAPACK band storage
+    ab[0, beta:] = -p  # c -> c + beta
+    ab[alpha + beta, :down] = -q  # c -> c - alpha
     rhs = np.zeros(m)
-    for j in range(m):
-        ab[beta, j] = 1.0  # diagonal in LAPACK band storage
-    for i in range(m):
-        c = lo + i
-        up = c + beta
-        if up <= hi:
-            j = up - lo
-            ab[beta + i - j, j] = -p
-        elif side == "B":
-            rhs[i] += p
-        down = c - alpha
-        if down >= lo:
-            j = down - lo
-            ab[beta + i - j, j] = -q
-        elif side == "A":
-            rhs[i] += q
+    if side == "B":
+        rhs[up:] = p  # c + beta overshoots the last transient state
+    else:
+        rhs[:alpha] = q  # c - alpha drops below the first one
     u = solve_banded((alpha, beta), ab, rhs)
 
     # Certify: residual of the solved system must sit within tol.
-    resid = rhs.copy()
-    for i in range(m):
-        c = lo + i
-        resid[i] -= u[i]
-        if c + beta <= hi:
-            resid[i] += p * u[c + beta - lo]
-        if c - alpha >= lo:
-            resid[i] += q * u[c - alpha - lo]
+    resid = rhs - u
+    resid[:up] += p * u[beta:]
+    resid[alpha:] += q * u[:down]
     if np.max(np.abs(resid)) > max(tol, 1e-14):
         raise ArithmeticError(
             f"absorption solve residual {np.max(np.abs(resid)):.3e} exceeds "
             f"tolerance {tol:.3e}"
         )
-    return float(min(max(u[game.a - lo], 0.0), 1.0))
+    return float(min(max(u[a - alpha], 0.0), 1.0))
 
 
 def ruin_exact_chain(game: RuinGame, tol: float = 1e-10) -> float:
     """A's exact ruin probability from the absorbing chain (any p, any stakes).
 
-    Direct banded elimination, O(a+b) time and memory, so sizes well past
-    1e4 pose no problem; tol is the certified residual threshold of the
-    solve.
+    Banded LU over the a+b-alpha-beta+1 transient states: O((a+b) *
+    alpha * (alpha+beta)) time and O((a+b) * (2*alpha+beta)) memory, so
+    sizes well past 1e4 pose no problem with small stakes; tol is the
+    certified residual threshold of the solve.  scipy is imported on the
+    first call, not with the package.
     """
     return _absorption_probability(game, tol, side="A")
 

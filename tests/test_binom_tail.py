@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,17 @@ class TestBracketTail:
             bracket = bracket_tail(TailQuery(n, l, p), tol=tol)
             lo, hi = tail_interval_mpmath(n, l, Fraction(p))
             assert bracket.converged
+            assert bracket.lower <= lo and hi <= bracket.upper
+
+    def test_tail_below_the_normal_float_range(self):
+        # the lead term underflows to 0 (lead_term_log -865.5), or the tail
+        # is subnormal, 2.7994e-319 (lead_term_log -733.7), where rounding
+        # is absolute: only [0, sys.float_info.min] is certain
+        for l in (1500, 1429):
+            bracket = bracket_tail(TailQuery(2000, l, 0.3))
+            lo, hi = tail_interval_mpmath(2000, l, Fraction(0.3))
+            assert (bracket.lower, bracket.upper) == (0.0, sys.float_info.min)
+            assert not bracket.converged
             assert bracket.lower <= lo and hi <= bracket.upper
 
     def test_depth_cap_below_one(self):

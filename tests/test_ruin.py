@@ -1,7 +1,12 @@
 """Ruin probabilities: bounds, the exact chain, and the root equation."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,28 @@ from certiprob.ruin import (
 )
 
 from _oracles import classical_ruin
+
+
+def dense_absorption(game: RuinGame, side: str) -> float:
+    """The chain's ruin probability from a dense solve of (I - T) u = r.
+
+    States are indexed by capital in a dict, not by band offsets, and
+    numpy.linalg.solve runs the full matrix.
+    """
+    a, b, alpha, beta = game.a, game.b, game.alpha, game.beta
+    p, q = float(game.p), float(game.q)
+    states = list(range(alpha, a + b - beta + 1))
+    index = {c: i for i, c in enumerate(states)}
+    m = len(states)
+    mat = np.eye(m)
+    rhs = np.zeros(m)
+    for c, i in index.items():
+        for target, prob in ((c + beta, p), (c - alpha, q)):
+            if target in index:
+                mat[i, index[target]] -= prob
+            elif (target < alpha) == (side == "A"):
+                rhs[i] += prob
+    return np.linalg.solve(mat, rhs)[index[a]]
 
 
 def fair_p(alpha: int, beta: int) -> float:
@@ -78,6 +105,60 @@ class TestExactChain:
             game = RuinGame(a, b, alpha, beta, p)
             total = ruin_exact_chain(game) + ruin_chain_b_side(game)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_dense_solve(self):
+        # a third of the chains are shorter than a stake (m < alpha or
+        # m < beta), where a negative slice start would misplace the
+        # boundary terms
+        rng = random.Random(8128)
+        for i in range(300):
+            alpha = rng.randint(1, 8)
+            beta = rng.randint(1, 8)
+            if i % 3 == 0:
+                a, b = alpha + rng.randint(0, 2), beta + rng.randint(0, 2)
+            else:
+                a, b = rng.randint(alpha, 60), rng.randint(beta, 60)
+            p = rng.uniform(0.1, 0.9) if i % 4 else Fraction(rng.randint(1, 11), 12)
+            game = RuinGame(a, b, alpha, beta, p)
+            assert ruin_exact_chain(game) == pytest.approx(
+                dense_absorption(game, "A"), abs=1e-12)
+            assert ruin_chain_b_side(game) == pytest.approx(
+                dense_absorption(game, "B"), abs=1e-12)
+
+    def test_fraction_p_matches_float_p(self):
+        exact, rounded = RuinGame(50, 60, 2, 1, Fraction(2, 3)), RuinGame(50, 60, 2, 1, 2 / 3)
+        for solve in (ruin_exact_chain, ruin_chain_b_side):
+            assert solve(exact) == pytest.approx(solve(rounded), abs=1e-12)
+        assert ruin_exact_chain(exact) == pytest.approx(0.54878, abs=1e-5)
+
+    def test_residual_certificate(self, monkeypatch):
+        import scipy.linalg
+
+        solve_banded = scipy.linalg.solve_banded
+
+        def off_by_1e9(*args, **kwargs):
+            return solve_banded(*args, **kwargs) + 1e-9
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", off_by_1e9)
+        game = RuinGame(30, 40, 3, 2, 0.45)
+        with pytest.raises(ArithmeticError):
+            ruin_exact_chain(game)  # tol 1e-10
+        with pytest.raises(ArithmeticError):
+            ruin_chain_b_side(game, tol=0.0)  # floor 1e-14
+        assert 0 < ruin_exact_chain(game, tol=1e-8) < 1
+
+    def test_scipy_loads_on_first_solve_only(self):
+        code = (
+            "import sys, certiprob, certiprob.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+            "y = certiprob.ruin_exact_chain(certiprob.RuinGame(5, 5, 1, 1, 0.5))\n"
+            "assert abs(y - 0.5) < 1e-12 and 'scipy' in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_large_state_space(self):
         game = RuinGame(6000, 6000, 2, 3, 0.5)
