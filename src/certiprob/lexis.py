@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .numerics import log_binom_pmf
+
 _EQ_TOL = 1e-12  # absolute tolerance for probability-equality classification
 
 
@@ -208,7 +210,8 @@ def moments_Q_hat(n: int, s: int, p):
 
     bound1 = 2N(N-n)/[(n-1)(N-2)(N-3)] (drop the sub-unit sum), and
     bound2 = 2/(n-1) present only when n >= 5, else None.  Fraction p
-    gives exact rational output.
+    gives exact rational output; float p takes the binomial weights from
+    log_binom_pmf, so no factor overflows at large N.
     """
     if n < 2 or s < 1:
         raise ValueError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
@@ -224,10 +227,12 @@ def moments_Q_hat(n: int, s: int, p):
     )
     total = Fraction(0) if exact else 0.0
     for M in range(1, N):
-        w = math.comb(N, M) * p**M * q ** (N - M)
         if exact:
+            w = math.comb(N, M) * p**M * q ** (N - M)
             total += Fraction(M - 1, M) * Fraction(N - M - 1, N - M) * w
         else:
+            # p = 0 or 1 puts no weight on 0 < M < N
+            w = 0.0 if p in (0, 1) else math.exp(log_binom_pmf(N, M, p))
             total += (M - 1) / M * (N - M - 1) / (N - M) * w
     variance = front * total
     bound1 = front

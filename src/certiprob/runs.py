@@ -8,13 +8,14 @@ independent p-trials; z_n = 1 - y_n.  The module offers:
   function z(xi) = (1 - p^r xi^r) / (1 - xi + q p^r xi^(r+1)),
 * the eighteenth-century power-series division algorithm (sum the first
   n - r + 1 coefficients of p^r / (1 - q - cq^2 - ... - c^(r-1)q^r) with
-  c = p/q, expanding in powers of q), carried out in exact rational
-  arithmetic, and
+  c = p/q, expanding in powers of q), and
 * a dynamic program over the trailing run length, the oracle the other
   three are tested against.
 
-All four accept Fraction p for exact results (the series division always
-works exactly, converting float p to the rational it represents).
+All four run in p's own scalar type: Fraction p gives exact results,
+float p float ones.  The closed form alternates in sign, so for float p
+it raises CancellationError when its rounding error bound exceeds
+BETA_TOL rather than return a value that cancelled away.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numerics import _as_fraction
 
@@ -60,16 +60,58 @@ def run_prob_recursive(spec: RunSpec):
     return 1 - window[-1]
 
 
+class CancellationError(ArithmeticError):
+    """A float alternating sum whose rounding error bound exceeds its tolerance."""
+
+
+# Absolute error allowed to run_prob_beta with float p: the tolerance to
+# which the four methods are required to agree.
+BETA_TOL = 1e-10
+
+
+def _log_abs_terms(m: int, r: int, log_w: float) -> list:
+    """log |term k| = log C(m - k*r, k) + k log w for every term of beta(m)."""
+    return [
+        math.lgamma(m - k * r + 1) - math.lgamma(k + 1) - math.lgamma(m - k * r - k + 1)
+        + k * log_w
+        for k in range(m // (r + 1) + 1)
+    ]
+
+
 def run_prob_beta(spec: RunSpec):
     """y_n from the generating-function coefficients in closed form.
 
     z_n = beta(n) - p^r beta(n-r) with
     beta(m) = sum_k (-1)^k C(m - k*r, k) (q p^r)^k, the sum running while
     the binomial is nonzero (k <= m/(r+1), the same cut-off either way).
+
+    For float p the terms can dwarf the result.  To first order, term k
+    is off by at most (3k + 3) units of 2^-53 relative (w = q p^r takes
+    three roundings and is raised to the k-th power; the power, the
+    binomial's conversion and the product add one each), the running sum
+    adds (K - 1) units of the sum of |terms|, K the number of terms, and
+    scaling by p^r and the two final subtractions add three more.  So
+    |error| <= (4K + 4) 2^-53 S with S the sum of |terms| of beta(n) and of
+    p^r beta(n-r).  The bound is formed in logs before any term is, and
+    above BETA_TOL the function raises CancellationError.
     """
     n, r, p = spec.n, spec.r, spec.p
     q = 1 - p
     w = q * p**r
+    if isinstance(w, float):
+        log_p = math.log(p)
+        log_w = math.log(q) + r * log_p
+        logs = _log_abs_terms(n, r, log_w)
+        logs += [r * log_p + x for x in _log_abs_terms(n - r, r, log_w)]
+        top = max(logs)
+        log_s = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+        log_bound = math.log(4 * (n // (r + 1) + 1) + 4) - 53 * math.log(2) + log_s
+        if log_bound > math.log(BETA_TOL):
+            raise CancellationError(
+                f"closed form for (n={n}, r={r}, p={p!r}) could lose up to "
+                f"10^{log_bound / math.log(10):.1f} to rounding (> {BETA_TOL:g}); "
+                "pass p as a Fraction or use run_prob_recursive"
+            )
 
     def beta(m):
         total = 0 * p
@@ -84,23 +126,21 @@ def run_prob_beta(spec: RunSpec):
 
 
 def run_prob_demoivre(spec: RunSpec):
-    """y_n by series division, exact in rational arithmetic.
+    """y_n by series division, in p's own scalar type.
 
     Expands p^r / (1 - sum_{j=1}^{r} c^(j-1) q^j) as a power series in q
-    (c = p/q held as a coefficient), i.e. the linear recurrence
-    a_k = sum_j c^(j-1) a_{k-j}, and returns p^r * sum_{k<=n-r} a_k q^k.
-    Coefficient cancellation grows with n, hence Fractions throughout.
+    (c = p/q), i.e. the linear recurrence a_k = sum_j c^(j-1) a_{k-j}, and
+    returns p^r * sum_{k<=n-r} a_k q^k.  It runs on b_k = a_k q^k, for
+    which the recurrence reads b_k = q * sum_{j<=r} p^(j-1) b_{k-j} with
+    b_0 = 1.  Every term is positive, so float p loses nothing to
+    cancellation; Fraction p gives the exact rational.
     """
-    n, r = spec.n, spec.r
-    p = _as_fraction(spec.p)
-    q = 1 - p
-    c = p / q
-    cpow = [c ** (j - 1) for j in range(1, r + 1)]
-    a = [Fraction(1)]
+    n, r, p = spec.n, spec.r, spec.p
+    weights = [(1 - p) * p ** (j - 1) for j in range(1, r + 1)]
+    b = [1 - p * 0]  # b_0 = 1, scalar-typed like p
     for k in range(1, n - r + 1):
-        a.append(sum(cpow[j - 1] * a[k - j] for j in range(1, min(k, r) + 1)))
-    total = p**r * sum(a[k] * q**k for k in range(n - r + 1))
-    return total if isinstance(spec.p, (Fraction, int)) else float(total)
+        b.append(sum(wj * b[k - j] for j, wj in enumerate(weights[:k], 1)))
+    return p**r * sum(b)
 
 
 def run_prob_oracle(spec: RunSpec):
@@ -161,4 +201,6 @@ __all__ = [
     "run_prob_demoivre",
     "run_prob_oracle",
     "gf_series_coefficients",
+    "CancellationError",
+    "BETA_TOL",
 ]

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import certiprob
 from certiprob.cli import main, parse_alpha, parse_prob
 from certiprob.gems import QuadSurd
 
@@ -238,3 +243,39 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["tail", "--n", "ten", "--l", "3", "--p", "0.5"])
         assert exc.value.code == 2
+
+
+class TestFloatRefusal:
+    def test_runs_cancellation_is_error_envelope(self, capsys):
+        code, env = run_json(capsys, "runs", "--n", "2000", "--r", "3", "--p", "0.9")
+        assert code == 1
+        assert env["error"]["type"] == "CancellationError"
+        assert env["result"] is None
+
+
+class TestEntryPoint:
+    """`python -m certiprob.cli` as a real process: exit codes and streams."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = Path(certiprob.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "certiprob.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_success_error_and_usage_exit_codes(self):
+        ok = self.run_module("shuffle", "order", "--deck", "52")
+        assert ok.returncode == 0
+        assert json.loads(ok.stdout)["result"] == {"order": 52}
+
+        failed = self.run_module("tail", "--n", "100", "--l", "200", "--p", "0.3")
+        assert failed.returncode == 1
+        assert json.loads(failed.stdout)["error"]["type"] == "ValueError"
+
+        usage = self.run_module("frobnicate")
+        assert usage.returncode == 2
+        assert usage.stdout == ""
+        assert "invalid choice" in usage.stderr

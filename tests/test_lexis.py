@@ -207,3 +207,26 @@ class TestValidation:
             CountVector(m=(3,), s=2)
         with pytest.raises(ValueError):
             CountVector(m=(-1,), s=2)
+
+
+class TestMomentsQHatFloatWeights:
+    def test_large_board_matches_exact(self):
+        # N = 1200: C(N, M) alone overflows a float, the log-space weights do not
+        _, var, _, _ = moments_Q_hat(40, 30, 0.3)
+        _, exact, _, _ = moments_Q_hat(40, 30, Fraction(3, 10))
+        assert var == pytest.approx(float(exact), rel=1e-12)
+
+    def test_float_p_matches_its_exact_rational(self):
+        for n, s, p in ((20, 39, 0.35), (6, 5, 0.4), (12, 12, 0.9)):
+            float_moments = moments_Q_hat(n, s, p)
+            exact_moments = moments_Q_hat(n, s, Fraction(p))
+            for got, want in zip(float_moments, exact_moments):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_certain_outcomes_have_zero_variance(self):
+        for p in (0.0, 1.0):
+            _, var, _, _ = moments_Q_hat(5, 4, p)
+            assert var == moments_Q_hat(5, 4, Fraction(p))[1] == 0

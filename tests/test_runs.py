@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from certiprob.runs import (
+    CancellationError,
     RunSpec,
     gf_series_coefficients,
     run_prob_beta,
@@ -122,3 +123,21 @@ class TestValidation:
             RunSpec(3, 0, 0.5)
         with pytest.raises(ValueError):
             RunSpec(3, 2, 1.0)
+
+
+class TestFloatPaths:
+    def test_series_division_in_floats(self):
+        # all terms positive: the float series stays at rounding level
+        want = float(run_prob_oracle(RunSpec(2000, 3, Fraction(9, 10))))
+        assert run_prob_demoivre(RunSpec(2000, 3, 0.9)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n, r, p", [(2000, 3, 0.9), (5000, 10, 0.7)])
+    def test_closed_form_refuses_cancelled_floats(self, n, r, p):
+        # |terms| sum to about 1e51 at (2000, 3, 0.9); at (5000, 10, 0.7) a
+        # binomial coefficient alone exceeds the float range
+        with pytest.raises(CancellationError):
+            run_prob_beta(RunSpec(n, r, p))
+
+    def test_closed_form_exact_where_floats_fail(self):
+        spec = RunSpec(2000, 3, Fraction(9, 10))
+        assert run_prob_beta(spec) == run_prob_oracle(spec)
