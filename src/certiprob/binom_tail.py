@@ -21,13 +21,16 @@ overflow nor underflow at any depth; a power of two is exact in binary
 floating point, so the ratios A_m/B_m are bit-identical whether or not a
 rescale fired.
 
-The recursion is scalar-generic: feed Fraction inputs to
+The public recursion (ConvergentState, advance_convergents,
+convergent_stream) is scalar-generic: feed Fraction inputs to
 convergent_stream and every convergent comes out as an exact rational,
 which is how the interleaving property is verified in the test suite.
 bracket_tail always recurses in floats, with coefficients built from the
-exact ratio p/q rounded once, and pushes its endpoints out by a margin
-derived from the error bounds of the lead term, the recursion and that
-rounding (see _guard).
+exact ratio p/q rounded once, on four local floats rather than one state
+object per half-step; it repeats _push's arithmetic operation for
+operation, so the float convergent_stream is its bit-for-bit cross-check.
+It pushes its endpoints out by a margin derived from the error bounds of
+the lead term, the recursion and that rounding (see _guard).
 """
 
 from __future__ import annotations
@@ -120,16 +123,15 @@ class TailQuery:
         return self.n - self.l - 1
 
 
-def _odds(p) -> Fraction:
-    """p/q exactly."""
-    pf = _as_fraction(p)
-    return pf / (1 - pf)
+def _float_odds(p) -> float:
+    """p/q rounded once: int/int true division rounds correctly."""
+    num, den = (p if isinstance(p, (float, Fraction)) else _as_fraction(p)).as_integer_ratio()
+    return num / (den - num)
 
 
 def _stream_odds(p):
     """p/q as the recursion uses it: exact for a Fraction, else rounded once."""
-    odds = _odds(p)
-    return odds if isinstance(p, (Fraction, int)) else float(odds)
+    return p / (1 - p) if isinstance(p, Fraction) else _float_odds(p)
 
 
 def _pair(n: int, l: int, k: int, odds):
@@ -221,8 +223,13 @@ def advance_convergents(state: ConvergentState, coeffs: CfCoefficients) -> Conve
     return _push(after_c, coeffs.d, +1)
 
 
-def _convergents(query: TailQuery, odds):
-    """Yield (k, kind, value) for C_1, D_1, ... in the scalar type of odds."""
+def convergent_stream(query: TailQuery):
+    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
+
+    kind is "C" or "D".  Values are floats or Fractions depending on the
+    scalar type of query.p.
+    """
+    odds = _stream_odds(query.p)
     if isinstance(odds, Fraction):
         state = ConvergentState(1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), 1.0)
     else:
@@ -234,15 +241,6 @@ def _convergents(query: TailQuery, odds):
         yield k, "C", state.value
         state = _push(state, d, +1)
         yield k, "D", state.value
-
-
-def convergent_stream(query: TailQuery):
-    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
-
-    kind is "C" or "D".  Values are floats or Fractions depending on the
-    scalar type of query.p.
-    """
-    return _convergents(query, _stream_odds(query.p))
 
 
 @dataclass(frozen=True)
@@ -265,15 +263,32 @@ def bracket_tail(
 ) -> TailBracket:
     """Two-sided certified bracket for P(S_n > l).
 
-    Walks the float convergent stream, keeping the largest even-indexed
-    convergent (lower side) and the smallest odd-indexed one (upper side);
-    the bracket is the pair scaled by the lead term, with endpoints pushed
-    outward by the derived rounding margin _guard.  Iteration stops as
-    soon as the pushed-out endpoints satisfy upper - lower <= tol * upper
-    (checked after every new convergent, so a run may stop midway through
-    a depth), or at the terminal depth n - l - 1 where the last convergent
-    equals the tail exactly, or at k_max, whichever comes first.
-    converged is True exactly when the returned endpoints meet tol.
+    Walks the float convergents C_1, D_1, C_2, ..., keeping the largest
+    even-indexed one (lower side) and the smallest odd-indexed one (upper
+    side); the bracket is the pair scaled by the lead term, with endpoints
+    pushed outward by the derived rounding margin _guard.  The walk runs
+    the forward recursion on four local floats with the same coefficient
+    expressions, rescale rule and zero-denominator check as _push, so its
+    convergents are bit-identical to convergent_stream's, which stays the
+    public, scalar-generic walk and serves as the cross-check of this one.
+
+    Iteration stops as soon as the pushed-out endpoints satisfy
+    upper - lower <= tol * upper (checked after every new convergent, so a
+    run may stop midway through a depth), or at the terminal depth
+    n - l - 1 where the last convergent equals the tail exactly, or at
+    k_max, whichever comes first.  converged is True exactly when the
+    returned endpoints meet tol.
+
+    Without k_max the walk also stops, with converged=False, once tol is
+    out of reach.  With lo <= hi the convergents kept and g the guard,
+    a converged bracket needs lead*lo*(1-g) >= (1-tol) * lead*hi*(1+g),
+    so (1-g) >= (1-tol)(1+g), i.e. g <= tol/(2-tol).  g grows with the
+    depth, so once g exceeds that (by 8 units of 2**-53, which covers the
+    rounding of the tol test) no later depth can converge.  The argument
+    needs upper = lead*hi*(1+g); while the min(..., 1.0) clamp holds
+    upper down the walk goes on.  lo <= hi holds for the exact
+    convergents; the float ones cross only by rounding, once the
+    bracket has closed to that level.
 
     If k_max cuts the run before tol is met the best bracket so far is
     returned with converged=False.  Endpoints are zero or normal floats:
@@ -283,47 +298,65 @@ def bracket_tail(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    n, l = query.n, query.l
-    k_cap = query.k_terminal if k_max is None else min(k_max, query.k_terminal)
-    if k_cap < 1 and query.k_terminal > 0:
+    n, l, k_term = query.n, query.l, query.k_terminal
+    k_cap = k_term if k_max is None else min(k_max, k_term)
+    if k_cap < 1 and k_term > 0:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     lead_log = log_binom_pmf(n, l + 1, query.p)
     lead = math.exp(lead_log)
-    odds = float(_odds(query.p))
+    odds = _float_odds(query.p)
     r = (n - l - 1) * odds / (l + 2)  # b(l+2)/b(l+1), below 1 as l > np
-    kappa = min(r / (1.0 - r), query.k_terminal) if r < 1.0 else query.k_terminal
-
-    def endpoints(lo, hi, k):
-        g = _guard(lead_log, k, kappa)
-        upper = min(lead * hi * (1.0 + g), 1.0)
-        lower = lead * lo * (1.0 - g)
-        return (lower if lower >= _TINY else 0.0), upper
-
-    def bracket(lower, upper, k):
-        if upper < _TINY:
-            return TailBracket(0.0, _TINY, k, lead_log, False)
-        return TailBracket(lower, upper, k, lead_log, upper - lower <= tol * upper)
+    kappa = min(r / (1.0 - r), k_term) if r < 1.0 else k_term
+    hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
 
     if k_cap < 1:
         # l = n - 1: the tail is the lead term alone.
-        return bracket(*endpoints(1.0, 1.0, 0), 0)
-
-    best_lo = 0.0  # even side, in S units
-    best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
-    for k, kind, v in _convergents(query, odds):
-        if k > k_cap:
-            break
-        k_used = k
-        if k == query.k_terminal and kind == "D":
-            best_lo = best_hi = v  # terminal convergent equals S exactly
-        elif k % 2 == 0:
-            best_lo = max(best_lo, v)
-        else:
-            best_hi = min(best_hi, v)
-        lower, upper = endpoints(best_lo, best_hi, k)
-        if upper - lower <= tol * upper or upper < _TINY:
-            break
-    return bracket(lower, upper, k_used)
+        g = _guard(lead_log, 0, kappa)
+        lower, upper, k_used = lead * (1.0 - g), min(lead * (1.0 + g), 1.0), 0
+        lower = lower if lower >= _TINY else 0.0
+    else:
+        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
+        best_lo = 0.0  # even side, in S units
+        best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
+        # Q_m = A_m / B_m is C_k at m = 2k and D_k at m = 2k + 1; both
+        # coefficients of depth k share the denominator (l + m - 1)(l + m).
+        # c_k enters negated, as _push's sign: A + (-c)*A_prev rounds
+        # exactly as A - c*A_prev does.
+        m_term = 2 * k_term + 1
+        for m in range(2, 2 * k_cap + 2):
+            k_used = m >> 1
+            if m & 1:
+                coeff = k_used * (n + k_used) * odds / ((l + m - 1) * (l + m))
+            else:
+                coeff = -((n - k_used - l) * (l + k_used) * odds / ((l + m - 1) * (l + m)))
+                g = _guard(lead_log, k_used, kappa)
+                up_f, lo_f = 1.0 + g, 1.0 - g
+            A_prev, A = A, A + coeff * A_prev
+            B_prev, B = B, B + coeff * B_prev
+            a, b = abs(A), abs(B)
+            big = b if b > a else a
+            if big > RESCALE_THRESHOLD or big < RESCALE:
+                f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
+                A, B, A_prev, B_prev = A * f, B * f, A_prev * f, B_prev * f
+            if B == 0:
+                raise NumericDegeneracyError(f"B_{m} = 0")
+            v = A / B
+            if m == m_term:
+                best_lo = best_hi = v  # terminal convergent equals S exactly
+            elif k_used & 1:
+                if v < best_hi:
+                    best_hi = v
+            elif v > best_lo:
+                best_lo = v
+            up = lead * best_hi * up_f
+            upper = 1.0 if 1.0 < up else up
+            lower = lead * best_lo * lo_f
+            lower = lower if lower >= _TINY else 0.0
+            if upper - lower <= tol * upper or upper < _TINY or (g > hopeless and up <= 1.0):
+                break
+    if upper < _TINY:
+        return TailBracket(0.0, _TINY, k_used, lead_log, False)
+    return TailBracket(lower, upper, k_used, lead_log, upper - lower <= tol * upper)
 
 
 def left_tail_bracket(
@@ -368,11 +401,14 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
     t = 1.0
     exponent = 0  # running sum is total * 2**exponent
     k = 0
+    top, bottom = n + 1, j + 1  # n + 1 + k and j + 1 + k
     while True:
-        t *= pflt * (n + 1 + k) / (j + 1 + k)
+        t *= pflt * top / bottom
         total += t
         k += 1
-        if t <= 1e-15 * total and pflt * (n + 1 + k) / (j + 1 + k) < 1.0:
+        top += 1
+        bottom += 1
+        if t <= 1e-15 * total and pflt * top / bottom < 1.0:
             break
         if total > RESCALE_THRESHOLD:
             total *= RESCALE

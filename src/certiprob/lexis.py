@@ -218,6 +218,8 @@ def moments_Q_hat(n: int, s: int, p):
     N = n * s
     if N <= 3:
         raise ValueError(f"need N = n*s >= 4 (bound denominators), got N={N}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
     q = 1 - p
     exact = isinstance(p, (Fraction, int))
     front = (

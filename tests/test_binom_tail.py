@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,23 @@ class TestBracketTail:
             assert (bracket.lower, bracket.upper) == (0.0, sys.float_info.min)
             assert not bracket.converged
             assert bracket.lower <= lo and hi <= bracket.upper
+
+    def test_hopeless_tolerance_stops_early(self):
+        # near the mean the guard already exceeds tol/(2 - tol) at depth 1;
+        # the walk used to run all 699,998 depths (seconds) to no avail
+        q = TailQuery(10**6, 300001, 0.3)
+        start = time.perf_counter()
+        bracket = bracket_tail(q, tol=1e-12)
+        assert time.perf_counter() - start < 0.1
+        assert not bracket.converged
+        assert bracket.k_used < q.k_terminal
+        lo, hi = tail_interval_mpmath(q.n, q.l, Fraction(0.3))
+        assert bracket.lower <= lo and hi <= bracket.upper
+
+    def test_explicit_depth_cap_walks_past_hopeless_tol(self):
+        q = TailQuery(2000, 700, 0.3)
+        bracket = bracket_tail(q, tol=1e-15, k_max=500)
+        assert bracket.k_used == 500 and not bracket.converged
 
     def test_depth_cap_below_one(self):
         # the lead term alone is no bracket while the fraction has depth

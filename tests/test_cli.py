@@ -252,6 +252,12 @@ class TestFloatRefusal:
         assert env["error"]["type"] == "CancellationError"
         assert env["result"] is None
 
+    def test_lexis_moments_probability_out_of_range(self, capsys):
+        code, env = run_json(capsys, "lexis", "moments", "--n", "5", "--s", "4", "--p", "3/2")
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
+        assert env["result"] is None
+
 
 class TestEntryPoint:
     """`python -m certiprob.cli` as a real process: exit codes and streams."""

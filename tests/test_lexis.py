@@ -230,3 +230,9 @@ class TestMomentsQHatFloatWeights:
         for p in (0.0, 1.0):
             _, var, _, _ = moments_Q_hat(5, 4, p)
             assert var == moments_Q_hat(5, 4, Fraction(p))[1] == 0
+
+    def test_probability_out_of_range(self):
+        # a Fraction p used to pass unchecked: 3/2 gave a variance of 2317.9
+        for p in (Fraction(3, 2), Fraction(-1, 2), 1.5, -0.5):
+            with pytest.raises(ValueError):
+                moments_Q_hat(5, 4, p)

@@ -6,12 +6,13 @@ range), and k at both ends of its range.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certiprob.binom_tail import TailQuery, bracket_tail, left_tail_bracket
+from certiprob.binom_tail import TailQuery, _guard, bracket_tail, convergent_stream, left_tail_bracket
 from certiprob.numerics import LOG_PMF_ERROR_ULPS, log_binom_pmf
 
 from _oracles import log_pmf_mpmath, tail_interval_mpmath
@@ -101,3 +102,64 @@ def test_left_bracket_encloses_reference(case):
         return
     bracket = left_tail_bracket(n, l, p, tol=tol, k_max=400)
     check_enclosure(bracket, tail_interval_mpmath(n, m, 1 - Fraction(p)), tol)
+
+
+def bracket_from_stream(q, tol, k_max):
+    """bracket_tail's (lower, upper, k_used, converged), rebuilt from the
+    public ConvergentState stream and _guard."""
+    lead_log = log_binom_pmf(q.n, q.l + 1, q.p)
+    lead = math.exp(lead_log)
+    odds = float(Fraction(q.p) / (1 - Fraction(q.p)))
+    r = (q.n - q.l - 1) * odds / (q.l + 2)
+    kappa = min(r / (1.0 - r), q.k_terminal) if r < 1.0 else q.k_terminal
+    k_cap = q.k_terminal if k_max is None else min(k_max, q.k_terminal)
+    # past this guard no depth can meet tol (see bracket_tail)
+    hopeless = (tol + 8 * U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
+    tiny = sys.float_info.min
+    lo, hi = 0.0, math.inf
+    for k, kind, v in convergent_stream(q):
+        if k > k_cap:
+            break
+        k_used = k
+        if (k, kind) == (q.k_terminal, "D"):
+            lo = hi = v
+        elif k % 2 == 0:
+            lo = max(lo, v)
+        else:
+            hi = min(hi, v)
+        g = _guard(lead_log, k, kappa)
+        unclamped = lead * hi * (1.0 + g)
+        upper = min(unclamped, 1.0)
+        lower = lead * lo * (1.0 - g)
+        lower = lower if lower >= tiny else 0.0
+        if upper - lower <= tol * upper or upper < tiny or (g > hopeless and unclamped <= 1.0):
+            break
+    if upper < tiny:
+        return 0.0, tiny, k_used, False
+    return lower, upper, k_used, upper - lower <= tol * upper
+
+
+@st.composite
+def walk_cases(draw):
+    """(n, l, p, tol, k_max) with float p, from the far tail to the mean."""
+    n = round(10 ** draw(st.floats(1, 6)))
+    p = draw(st.floats(0.01, 0.99))
+    sd = math.sqrt(n * p * (1 - p))
+    l = min(math.floor(n * p + draw(st.floats(0, 12)) * sd) + 1, n - 2)
+    tol = 10 ** draw(st.floats(-14, -2))
+    # a cap with a tiny tol walks deep: A and B get rescaled past 2**512
+    k_max = draw(st.one_of(st.none(), st.integers(1, 60), st.integers(200, 1500)))
+    return n, l, p, tol, k_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk_cases())
+def test_float_walk_matches_the_convergent_stream(case):
+    # bracket_tail runs its own float recursion; the stream is the
+    # scalar-generic one, and the two must agree bit for bit
+    n, l, p, tol, k_max = case
+    if not n * Fraction(p) < l < n - 1:
+        return
+    q = TailQuery(n, l, p)
+    b = bracket_tail(q, tol=tol, k_max=k_max)
+    assert (b.lower, b.upper, b.k_used, b.converged) == bracket_from_stream(q, tol, k_max)

@@ -101,7 +101,7 @@ def _cases(rng):
     return out
 
 
-def _hopeless(case, got) -> bool:
+def _may_stop_early(case, got) -> bool:
     """A walk without k_max that ran out of depth: the only kind whose
     output the early stop may change."""
     return case["fn"] != "bahadur" and case["k_max"] is None and not got["converged"]
@@ -111,7 +111,7 @@ def record():
     cases = []
     for case in _cases(random.Random(20260)):
         got = _run(case)
-        if not _hopeless(case, got):
+        if not _may_stop_early(case, got):
             cases.append({**case, "want": got})
     with GOLDEN_PATH.open("w") as fh:
         fh.write('{"cases": [\n')
