@@ -280,15 +280,22 @@ def bracket_tail(
     returned endpoints meet tol.
 
     Without k_max the walk also stops, with converged=False, once tol is
-    out of reach.  With lo <= hi the convergents kept and g the guard,
-    a converged bracket needs lead*lo*(1-g) >= (1-tol) * lead*hi*(1+g),
-    so (1-g) >= (1-tol)(1+g), i.e. g <= tol/(2-tol).  g grows with the
-    depth, so once g exceeds that (by 8 units of 2**-53, which covers the
-    rounding of the tol test) no later depth can converge.  The argument
-    needs upper = lead*hi*(1+g); while the min(..., 1.0) clamp holds
-    upper down the walk goes on.  lo <= hi holds for the exact
-    convergents; the float ones cross only by rounding, once the
-    bracket has closed to that level.
+    out of reach and the bracket has closed to its rounding floor.  With
+    lo <= hi the convergents kept and g the guard, a converged bracket
+    needs lead*lo*(1-g) >= (1-tol) * lead*hi*(1+g), so (1-g) >=
+    (1-tol)(1+g), i.e. g <= tol/(2-tol); g grows with the depth, so past
+    that (by 8 units of 2**-53, which cover the rounding of the tol test
+    at the depth where g crosses it) tol is out of reach.  The walk still
+    goes on, testing tol, until hi - lo <= _RECURSION_ULPS*u*(hi + lo):
+    a bracket is lead*((hi - lo) + g*(hi + lo)) wide and each depth adds
+    _RECURSION_ULPS*u to g, so closing the whole remaining gap would then
+    narrow it by less than the next depth widens it, and the bracket
+    returned is the narrowest, or close to it, that the walk reaches.
+    The float convergents cross (lo > hi) by rounding once the bracket
+    has closed to that level, which the floor test also catches.  The
+    argument needs upper = lead*hi*(1+g); at the floor lead*hi is within
+    rounding of the tail, at most 1/2 as l > np lies at or above the
+    median, so the min(..., 1.0) clamp on upper is inactive there.
 
     If k_max cuts the run before tol is met the best bracket so far is
     returned with converged=False.  Endpoints are zero or normal floats:
@@ -308,6 +315,7 @@ def bracket_tail(
     r = (n - l - 1) * odds / (l + 2)  # b(l+2)/b(l+1), below 1 as l > np
     kappa = min(r / (1.0 - r), k_term) if r < 1.0 else k_term
     hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
+    floor = _RECURSION_ULPS * _U  # the guard's growth per depth
 
     if k_cap < 1:
         # l = n - 1: the tail is the lead term alone.
@@ -348,12 +356,15 @@ def bracket_tail(
                     best_hi = v
             elif v > best_lo:
                 best_lo = v
-            up = lead * best_hi * up_f
-            upper = 1.0 if 1.0 < up else up
+            upper = lead * best_hi * up_f
+            if upper > 1.0:
+                upper = 1.0
             lower = lead * best_lo * lo_f
             lower = lower if lower >= _TINY else 0.0
-            if upper - lower <= tol * upper or upper < _TINY or (g > hopeless and up <= 1.0):
+            if upper - lower <= tol * upper or upper < _TINY:
                 break
+            if g > hopeless and best_hi - best_lo <= floor * (best_hi + best_lo):
+                break  # tol out of reach, and no later depth is narrower
     if upper < _TINY:
         return TailBracket(0.0, _TINY, k_used, lead_log, False)
     return TailBracket(lower, upper, k_used, lead_log, upper - lower <= tol * upper)

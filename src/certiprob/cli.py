@@ -152,7 +152,10 @@ def _tail(args):
             "lead_term_log": bracket.lead_term_log,
             "exact": exact,
         },
-        [] if bracket.converged else ["tolerance not reached before k_max"],
+        [] if bracket.converged else [
+            "tolerance below the rounding floor of the bracket" if args.kmax is None
+            else "tolerance not reached before k_max"
+        ],
     )
 
 

@@ -55,6 +55,15 @@ class TestTailCommand:
         assert res["lower"] <= res["exact"] <= res["upper"]
         assert round(res["exact"], 5) == 0.02170
 
+    def test_unconverged_warnings(self, capsys):
+        argv = ("tail", "--n", "2000", "--l", "700", "--p", "0.3", "--tol", "1e-15")
+        code, env = run_json(capsys, *argv)
+        assert code == 0 and not env["result"]["converged"]
+        assert env["warnings"] == ["tolerance below the rounding floor of the bracket"]
+        code, env = run_json(capsys, *argv, "--kmax", "3")
+        assert code == 0 and env["result"]["k_used"] == 3
+        assert env["warnings"] == ["tolerance not reached before k_max"]
+
     def test_method_refusal_is_domain_error(self, capsys):
         code, env = run_json(capsys, "tail", "--n", "10", "--p", "0.5", "--l", "4")
         assert code == 1

@@ -18,6 +18,7 @@ from certiprob.numerics import LOG_PMF_ERROR_ULPS, log_binom_pmf
 from _oracles import log_pmf_mpmath, tail_interval_mpmath
 
 U = 2.0**-53
+TINY = sys.float_info.min
 
 # p anywhere in (0, 1), or near either end: floats down to the smallest
 # subnormal and up to 1 - 2**-53, and rationals below the float range
@@ -104,23 +105,19 @@ def test_left_bracket_encloses_reference(case):
     check_enclosure(bracket, tail_interval_mpmath(n, m, 1 - Fraction(p)), tol)
 
 
-def bracket_from_stream(q, tol, k_max):
-    """bracket_tail's (lower, upper, k_used, converged), rebuilt from the
-    public ConvergentState stream and _guard."""
+def stream_brackets(q, k_cap):
+    """bracket_tail's (lower, upper, unclamped upper, k) after each
+    convergent up to depth k_cap, rebuilt from the public ConvergentState
+    stream and _guard."""
     lead_log = log_binom_pmf(q.n, q.l + 1, q.p)
     lead = math.exp(lead_log)
     odds = float(Fraction(q.p) / (1 - Fraction(q.p)))
     r = (q.n - q.l - 1) * odds / (q.l + 2)
     kappa = min(r / (1.0 - r), q.k_terminal) if r < 1.0 else q.k_terminal
-    k_cap = q.k_terminal if k_max is None else min(k_max, q.k_terminal)
-    # past this guard no depth can meet tol (see bracket_tail)
-    hopeless = (tol + 8 * U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
-    tiny = sys.float_info.min
     lo, hi = 0.0, math.inf
     for k, kind, v in convergent_stream(q):
         if k > k_cap:
-            break
-        k_used = k
+            return
         if (k, kind) == (q.k_terminal, "D"):
             lo = hi = v
         elif k % 2 == 0:
@@ -129,13 +126,18 @@ def bracket_from_stream(q, tol, k_max):
             hi = min(hi, v)
         g = _guard(lead_log, k, kappa)
         unclamped = lead * hi * (1.0 + g)
-        upper = min(unclamped, 1.0)
         lower = lead * lo * (1.0 - g)
-        lower = lower if lower >= tiny else 0.0
-        if upper - lower <= tol * upper or upper < tiny or (g > hopeless and unclamped <= 1.0):
+        yield (lower if lower >= TINY else 0.0), min(unclamped, 1.0), unclamped, k
+
+
+def bracket_from_stream(q, tol, k_max):
+    """bracket_tail's (lower, upper, k_used, converged) under an explicit
+    k_max, which walks on until tol is met or the cap is reached."""
+    for lower, upper, _, k_used in stream_brackets(q, min(k_max, q.k_terminal)):
+        if upper - lower <= tol * upper or upper < TINY:
             break
-    if upper < tiny:
-        return 0.0, tiny, k_used, False
+    if upper < TINY:
+        return 0.0, TINY, k_used, False
     return lower, upper, k_used, upper - lower <= tol * upper
 
 
@@ -148,7 +150,7 @@ def walk_cases(draw):
     l = min(math.floor(n * p + draw(st.floats(0, 12)) * sd) + 1, n - 2)
     tol = 10 ** draw(st.floats(-14, -2))
     # a cap with a tiny tol walks deep: A and B get rescaled past 2**512
-    k_max = draw(st.one_of(st.none(), st.integers(1, 60), st.integers(200, 1500)))
+    k_max = draw(st.one_of(st.integers(1, 60), st.integers(200, 1500)))
     return n, l, p, tol, k_max
 
 
@@ -163,3 +165,42 @@ def test_float_walk_matches_the_convergent_stream(case):
     q = TailQuery(n, l, p)
     b = bracket_tail(q, tol=tol, k_max=k_max)
     assert (b.lower, b.upper, b.k_used, b.converged) == bracket_from_stream(q, tol, k_max)
+
+
+@st.composite
+def floor_cases(draw):
+    """(n, l, p, tol) with float p; tol is a power of ten near or below
+    the rounding floor of the bracket, or a factor near 1 on the narrowest
+    relative width the full walk reaches (worked out in the test)."""
+    n = round(10 ** draw(st.floats(1, 3.5)))
+    p = draw(st.floats(0.01, 0.99))
+    sd = math.sqrt(n * p * (1 - p))
+    l = min(math.floor(n * p + draw(st.floats(0, 12)) * sd) + 1, n - 2)
+    tol = draw(st.one_of(st.floats(-16, -10).map(lambda x: 10**x), st.floats(0.9, 1.1).map(lambda f: -f)))
+    return n, l, p, tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(floor_cases())
+def test_unreachable_tol_stops_at_the_narrowest_bracket(case):
+    # without k_max the walk stops once tol is out of reach and the
+    # bracket sits on its rounding floor; an explicit k_max at the
+    # terminal depth walks on to the end
+    n, l, p, tol = case
+    if not n * Fraction(p) < l < n - 1:
+        return
+    q = TailQuery(n, l, p)
+    walk = [(lower, upper) for lower, upper, unclamped, _ in stream_brackets(q, q.k_terminal)
+            if unclamped <= 1.0 and upper >= TINY]
+    if not walk:
+        return
+    narrowest = min(upper - lower for lower, upper in walk)
+    if tol < 0:
+        tol = -tol * min((upper - lower) / upper for lower, upper in walk)
+    b = bracket_tail(q, tol=tol)
+    full = bracket_tail(q, tol=tol, k_max=q.k_terminal)
+    if full.converged:
+        assert b == full
+    else:
+        assert not b.converged and b.k_used <= full.k_used
+        assert b.width <= 1.25 * narrowest
