@@ -3,9 +3,13 @@
 The tail P(S_n > l), for a threshold l strictly above the mean np, factors
 as lead * S where lead = b(l+1; n, p) is the first omitted point mass and
 S is the value of an alternating continued fraction built from two
-coefficient families c_k, d_k.  Truncating the fraction after a -c_k gives
-the convergent C_k, after a +d_k gives D_k, and the convergents interleave
-around S:
+coefficient families, for k = 1, ..., n - l:
+
+    c_k = (n-k-l)(l+k) / [(l+2k-1)(l+2k)] * p/q
+    d_k = k(n+k)      / [(l+2k)(l+2k+1)] * p/q
+
+Truncating the fraction after a -c_k gives the convergent C_k, after a
++d_k gives D_k, and the convergents interleave around S:
 
     C_2 < D_2 < C_4 < D_4 < ... < S < ... < D_3 < C_3 < D_1 < C_1
 
@@ -21,16 +25,15 @@ overflow nor underflow at any depth; a power of two is exact in binary
 floating point, so the ratios A_m/B_m are bit-identical whether or not a
 rescale fired.
 
-The public recursion (ConvergentState, advance_convergents,
-convergent_stream) is scalar-generic: feed Fraction inputs to
-convergent_stream and every convergent comes out as an exact rational,
-which is how the interleaving property is verified in the test suite.
-bracket_tail always recurses in floats, with coefficients built from the
-exact ratio p/q rounded once, on four local floats rather than one state
-object per half-step; it repeats _push's arithmetic operation for
-operation, so the float convergent_stream is its bit-for-bit cross-check.
-It pushes its endpoints out by a margin derived from the error bounds of
-the lead term, the recursion and that rounding (see _guard).
+bracket_tail recurses in floats on four locals, with coefficients built
+from the exact ratio p/q rounded once, and pushes its endpoints out by a
+margin derived from the error bounds of the lead term, the recursion and
+that rounding (see _guard).  convergent_stream is the one public walk and
+the cross-check: it runs the same recursion, scalar-generic.  With a
+Fraction p every convergent comes out as an exact rational, which is how
+the test suite verifies the interleaving property; with a float p it
+repeats bracket_tail's arithmetic operation for operation, so the two
+float walks agree bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _as_fraction, binom_tail_exact, log_binom_pmf
+from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _as_fraction, _check_p, log_binom_pmf
 
 # |A| or |B| beyond RESCALE_THRESHOLD triggers a joint rescale by RESCALE,
 # and both below RESCALE one by RESCALE_THRESHOLD (exact in binary
@@ -103,19 +106,13 @@ class TailQuery:
             raise ValueError(f"n must be positive, got {self.n}")
         if not 0 <= self.l < self.n:
             raise ValueError(f"l must lie in [0, n), got l={self.l}, n={self.n}")
-        pf = _as_fraction(self.p)
-        if not (0 < pf < 1):
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
+        pf = _check_p(self.p)
         if self.l <= self.n * pf:
             raise MethodNotApplicableError(
                 f"continued-fraction bracketing needs l > n*p "
                 f"(l={self.l}, n*p={float(self.n * pf):g}); for left tails "
                 f"use left_tail_bracket, or binom_tail_exact for a point value"
             )
-
-    @property
-    def q(self):
-        return 1 - self.p
 
     @property
     def k_terminal(self) -> int:
@@ -129,118 +126,39 @@ def _float_odds(p) -> float:
     return num / (den - num)
 
 
-def _stream_odds(p):
-    """p/q as the recursion uses it: exact for a Fraction, else rounded once."""
-    return p / (1 - p) if isinstance(p, Fraction) else _float_odds(p)
-
-
-def _pair(n: int, l: int, k: int, odds):
-    """(c_k, d_k) for the given p/q."""
-    c = (n - k - l) * (l + k) * odds / ((l + 2 * k - 1) * (l + 2 * k))
-    d = k * (n + k) * odds / ((l + 2 * k) * (l + 2 * k + 1))
-    return c, d
-
-
-@dataclass(frozen=True)
-class CfCoefficients:
-    """One coefficient pair (c_k, d_k) of the tail's continued fraction."""
-
-    k: int
-    c: object
-    d: object
-
-
-def cf_coefficients(query: TailQuery, k: int) -> CfCoefficients:
-    """Coefficient pair at depth k, 1 <= k <= n - l.
-
-    c_k = (n-k-l)(l+k) / [(l+2k-1)(l+2k)] * p/q
-    d_k = k(n+k)      / [(l+2k)(l+2k+1)] * p/q
-
-    With Fraction p the pair is exact; c_{n-l} vanishes identically.  With
-    float p, p/q is the exact ratio rounded once.
-    """
-    n, l = query.n, query.l
-    if not 1 <= k <= n - l:
-        raise ValueError(f"k must lie in [1, n-l]=[1, {n - l}], got {k}")
-    c, d = _pair(n, l, k, _stream_odds(query.p))
-    return CfCoefficients(k=k, c=c, d=d)
-
-
-@dataclass(frozen=True)
-class ConvergentState:
-    """Rolling state of the forward convergent recursion.
-
-    Holds the last two numerators/denominators (A, B) and the index m of
-    the newest convergent Q_m = A_curr/B_curr.  `scale` records the
-    cumulative joint rescale factor applied to A and B; it never affects
-    the ratios and exists only for bookkeeping.
-    """
-
-    m: int = 1
-    A_prev: object = 0.0
-    A_curr: object = 1.0
-    B_prev: object = 1.0
-    B_curr: object = 1.0
-    scale: float = 1.0
-
-    @property
-    def value(self):
-        """Q_m = A_m / B_m."""
-        if self.B_curr == 0:
-            raise NumericDegeneracyError(f"B_{self.m} = 0")
-        return self.A_curr / self.B_curr
-
-
-def _push(state: ConvergentState, coeff, sign: int) -> ConvergentState:
-    """One half-step: X_new = X_curr + sign*coeff*X_prev for A and B.
-
-    Float states are rescaled both ways by an exact power of two.
-    """
-    A = state.A_curr + sign * coeff * state.A_prev
-    B = state.B_curr + sign * coeff * state.B_prev
-    A_c, B_c, scale = state.A_curr, state.B_curr, state.scale
-    if isinstance(A, float):
-        big = max(abs(A), abs(B))
-        if big > RESCALE_THRESHOLD or big < RESCALE:
-            f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
-            A, B, A_c, B_c, scale = A * f, B * f, A_c * f, B_c * f, scale * f
-    return ConvergentState(state.m + 1, A_c, A, B_c, B, scale)
-
-
-def advance_convergents(state: ConvergentState, coeffs: CfCoefficients) -> ConvergentState:
-    """Advance two steps with the pair (c_k, d_k): Q_{2k} = C_k, Q_{2k+1} = D_k.
-
-    The state must sit at m = 2k-1 (fresh states sit at m = 1, ready for
-    k = 1).  Intermediate C_k is recoverable by doing the half-steps by
-    hand; most callers want bracket_tail instead.
-    """
-    if state.m != 2 * coeffs.k - 1:
-        raise ValueError(
-            f"state at m={state.m} cannot take coefficient pair k={coeffs.k} "
-            f"(expected m={2 * coeffs.k - 1})"
-        )
-    after_c = _push(state, coeffs.c, -1)
-    return _push(after_c, coeffs.d, +1)
-
-
 def convergent_stream(query: TailQuery):
     """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
 
-    kind is "C" or "D".  Values are floats or Fractions depending on the
-    scalar type of query.p.
+    kind is "C" or "D".  With a Fraction p every value is an exact
+    rational; with any other p the walk runs in floats with the joint
+    power-of-two rescale, and its arithmetic is bracket_tail's operation
+    for operation, so the two walks agree bit for bit.
     """
-    odds = _stream_odds(query.p)
-    if isinstance(odds, Fraction):
-        state = ConvergentState(1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), 1.0)
+    n, l, p = query.n, query.l, query.p
+    exact = isinstance(p, Fraction)
+    if exact:
+        odds = p / (1 - p)
+        A_prev, A, B_prev, B = Fraction(0), Fraction(1), Fraction(1), Fraction(1)
     else:
-        state = ConvergentState()
-    n, l = query.n, query.l
-    for k in range(1, query.k_terminal + 1):
-        c, d = _pair(n, l, k, odds)
-        state = _push(state, c, -1)
-        yield k, "C", state.value
-        state = _push(state, d, +1)
-        yield k, "D", state.value
+        odds = _float_odds(p)
+        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
+    for m in range(2, 2 * query.k_terminal + 2):
+        k = m >> 1
+        if m & 1:
+            coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
+        else:
+            coeff = -((n - k - l) * (l + k) * odds / ((l + m - 1) * (l + m)))
+        A_prev, A = A, A + coeff * A_prev
+        B_prev, B = B, B + coeff * B_prev
+        if not exact:
+            a, b = abs(A), abs(B)
+            big = b if b > a else a
+            if big > RESCALE_THRESHOLD or big < RESCALE:
+                f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
+                A, B, A_prev, B_prev = A * f, B * f, A_prev * f, B_prev * f
+        if B == 0:
+            raise NumericDegeneracyError(f"B_{m} = 0")
+        yield k, "D" if m & 1 else "C", A / B
 
 
 @dataclass(frozen=True)
@@ -267,10 +185,10 @@ def bracket_tail(
     even-indexed one (lower side) and the smallest odd-indexed one (upper
     side); the bracket is the pair scaled by the lead term, with endpoints
     pushed outward by the derived rounding margin _guard.  The walk runs
-    the forward recursion on four local floats with the same coefficient
-    expressions, rescale rule and zero-denominator check as _push, so its
-    convergents are bit-identical to convergent_stream's, which stays the
-    public, scalar-generic walk and serves as the cross-check of this one.
+    the forward recursion on four local floats; convergent_stream repeats
+    it with the same coefficient expressions, rescale rule and
+    zero-denominator check, so the float convergents of the two are
+    bit-identical, and the stream is the cross-check of this walk.
 
     Iteration stops as soon as the pushed-out endpoints satisfy
     upper - lower <= tol * upper (checked after every new convergent, so a
@@ -328,8 +246,8 @@ def bracket_tail(
         best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
         # Q_m = A_m / B_m is C_k at m = 2k and D_k at m = 2k + 1; both
         # coefficients of depth k share the denominator (l + m - 1)(l + m).
-        # c_k enters negated, as _push's sign: A + (-c)*A_prev rounds
-        # exactly as A - c*A_prev does.
+        # c_k enters negated: A + (-c)*A_prev rounds exactly as
+        # A - c*A_prev does.
         m_term = 2 * k_term + 1
         for m in range(2, 2 * k_cap + 2):
             k_used = m >> 1
@@ -402,9 +320,7 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
     """
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n]=[1, {n}], got {j}")
-    pf = _as_fraction(p)
-    if not (0 < pf < 1):
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+    pf = _check_p(p)
     pflt = float(pf)
     lead_log = log_binom_pmf(n, j, pf)
 
@@ -436,16 +352,11 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
 
 __all__ = [
     "TailQuery",
-    "CfCoefficients",
-    "ConvergentState",
     "TailBracket",
-    "cf_coefficients",
-    "advance_convergents",
     "convergent_stream",
     "bracket_tail",
     "left_tail_bracket",
     "bahadur_tail",
-    "binom_tail_exact",
     "MethodNotApplicableError",
     "NumericDegeneracyError",
     "SeriesNotConvergedError",

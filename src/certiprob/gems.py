@@ -179,17 +179,6 @@ class FloorAmbiguityError(ValueError):
     """A float multiple sat too close to an integer to certify its floor."""
 
 
-def _le_sqrt(t: int, Q: int, d: int) -> bool:
-    """Exact test of  t <= Q * sqrt(d)  for integers (d > 0 non-square)."""
-    if Q >= 0:
-        if t <= 0:
-            return True
-        return t * t <= Q * Q * d
-    if t >= 0:
-        return False
-    return t * t >= Q * Q * d
-
-
 @dataclass(frozen=True)
 class QuadSurd:
     """Exact quadratic irrational x + y*sqrt(d), x and y rational, y != 0.
@@ -226,18 +215,20 @@ class QuadSurd:
         return cls(Fraction(0), Fraction(1), d)
 
     def floor_times(self, n: int) -> int:
-        """Exact floor(n * value)."""
+        """Exact floor(n * value), in integers alone.
+
+        With n * value = (P + Q sqrt(d)) / R and R > 0, Q sqrt(d) is
+        irrational unless Q = 0, so its floor is isqrt(Q*Q*d) for Q >= 0
+        and -isqrt(Q*Q*d) - 1 for Q < 0; adding the integer P keeps the
+        sum's floor, and floor(floor(t) / R) = floor(t / R).
+        """
         P_frac = n * self.x
         Q_frac = n * self.y
         R = math.lcm(P_frac.denominator, Q_frac.denominator)
         P = P_frac.numerator * (R // P_frac.denominator)
         Q = Q_frac.numerator * (R // Q_frac.denominator)
-        f = math.floor(n * float(self))  # guess, then certify
-        while not _le_sqrt(f * R - P, Q, self.d):
-            f -= 1
-        while _le_sqrt((f + 1) * R - P, Q, self.d):
-            f += 1
-        return f
+        root = math.isqrt(Q * Q * self.d)
+        return (P + root) // R if Q >= 0 else (P - root - 1) // R
 
     def pair_partner(self) -> "QuadSurd":
         """beta = alpha/(alpha - 1), the complementary spectrum generator."""

@@ -45,9 +45,7 @@ def _as_fraction(p) -> Fraction:
     """Exact rational value of a probability argument."""
     if isinstance(p, Fraction):
         return p
-    if isinstance(p, int):
-        return Fraction(p)
-    return Fraction(p)  # floats convert exactly
+    return Fraction(p)  # ints and floats convert exactly
 
 
 def _check_p(p) -> Fraction:

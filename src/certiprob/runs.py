@@ -24,7 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .numerics import _as_fraction
+from .numerics import _check_p
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class RunSpec:
     def __post_init__(self):
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        pf = _as_fraction(self.p)
-        if not (0 < pf < 1):
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
+        _check_p(self.p)
 
 
 def run_prob_recursive(spec: RunSpec):

@@ -8,14 +8,12 @@ from fractions import Fraction
 import pytest
 
 from certiprob.binom_tail import (
-    ConvergentState,
     MethodNotApplicableError,
+    NumericDegeneracyError,
     TailQuery,
     convergent_stream,
-    advance_convergents,
     bahadur_tail,
     bracket_tail,
-    cf_coefficients,
     left_tail_bracket,
 )
 from certiprob.numerics import binom_tail_exact
@@ -52,34 +50,17 @@ class TestTailQuery:
             TailQuery(10, 7, 1.0)
 
 
-class TestCfCoefficients:
-    def test_printed_values(self):
-        q = TailQuery(10, 6, Fraction(1, 2))
-        pair = cf_coefficients(q, 1)
-        assert pair.c == Fraction(3 * 7, 7 * 8)  # 0.375
-        assert pair.d == Fraction(1 * 11, 8 * 9)  # 11/72
+def cf_pair(q, k):
+    """(c_k, d_k) from the printed formula, in exact rationals:
 
-    def test_terminal_coefficient_vanishes(self):
-        q = TailQuery(9000, 3090, Fraction(1, 3))
-        assert cf_coefficients(q, q.n - q.l).c == 0
-
-    def test_out_of_range_k(self):
-        q = TailQuery(10, 6, 0.5)
-        with pytest.raises(ValueError):
-            cf_coefficients(q, 0)
-        with pytest.raises(ValueError):
-            cf_coefficients(q, 5)
-
-    def test_strict_decrease_below_one(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            q = random_valid_query(rng, n_max=120)
-            cs = [cf_coefficients(q, k).c for k in range(1, q.n - q.l + 1)]
-            assert cs[0] < 1
-            assert all(a > b for a, b in zip(cs, cs[1:]))
-            assert cs[-1] == 0
-            ds = [cf_coefficients(q, k).d for k in range(1, q.n - q.l)]
-            assert all(d > 0 for d in ds)
+    c_k = (n-k-l)(l+k) / [(l+2k-1)(l+2k)] * p/q
+    d_k = k(n+k)      / [(l+2k)(l+2k+1)] * p/q
+    """
+    n, l, p = q.n, q.l, Fraction(q.p)
+    odds = p / (1 - p)
+    c = Fraction((n - k - l) * (l + k), (l + 2 * k - 1) * (l + 2 * k)) * odds
+    d = Fraction(k * (n + k), (l + 2 * k) * (l + 2 * k + 1)) * odds
+    return c, d
 
 
 def nested_c_convergent(q, depth):
@@ -87,34 +68,34 @@ def nested_c_convergent(q, depth):
     of the forward recursion)."""
     acc = Fraction(0)
     for k in range(depth, 0, -1):
-        c = cf_coefficients(q, k).c
-        if k == depth:
-            acc = c
-        else:
-            acc = c / (1 + cf_coefficients(q, k).d / (1 - acc))
+        c, d = cf_pair(q, k)
+        acc = c if k == depth else c / (1 + d / (1 - acc))
     # acc now equals the full nested tail starting at c_1
     return 1 / (1 - acc)
 
 
 def nested_d_convergent(q, depth):
     """D_depth from its nested definition, bottom-up."""
-    acc = cf_coefficients(q, depth).c / (1 + cf_coefficients(q, depth).d)
+    c, d = cf_pair(q, depth)
+    acc = c / (1 + d)
     for k in range(depth - 1, 0, -1):
-        pair = cf_coefficients(q, k)
-        acc = pair.c / (1 + pair.d / (1 - acc))
+        c, d = cf_pair(q, k)
+        acc = c / (1 + d / (1 - acc))
     return 1 / (1 - acc)
 
 
 class TestConvergentRecursion:
+    def test_printed_values(self):
+        c1, d1 = cf_pair(TailQuery(10, 6, Fraction(1, 2)), 1)
+        assert c1 == Fraction(3 * 7, 7 * 8)  # 0.375
+        assert d1 == Fraction(1 * 11, 8 * 9)  # 11/72
+
     def test_first_convergent_formula(self):
         q = TailQuery(10, 6, Fraction(1, 2))
-        state = ConvergentState(1, Fraction(0), Fraction(1), Fraction(1), Fraction(1), 1.0)
-        state = advance_convergents(state, cf_coefficients(q, 1))
-        # after the pair the state sits at D_1; unroll C_1 via the stream
+        c1, d1 = cf_pair(q, 1)
         stream = list(convergent_stream(q))
-        c1 = cf_coefficients(q, 1).c
-        assert stream[0][2] == 1 / (1 - c1)  # C_1
-        assert state.value == stream[1][2]  # D_1
+        assert stream[0] == (1, "C", 1 / (1 - c1))
+        assert stream[1] == (1, "D", 1 / (1 - c1 / (1 + d1)))
 
     def test_nested_evaluation_matches_recursion(self):
         q = TailQuery(10, 6, Fraction(1, 2))
@@ -123,41 +104,41 @@ class TestConvergentRecursion:
             assert stream[(depth, "C")] == nested_c_convergent(q, depth)
             assert stream[(depth, "D")] == nested_d_convergent(q, depth)
 
-    def test_index_mismatch_rejected(self):
-        q = TailQuery(10, 6, 0.5)
-        with pytest.raises(ValueError):
-            advance_convergents(ConvergentState(), cf_coefficients(q, 2))
-
     def test_zero_denominator_trap(self):
-        from certiprob.binom_tail import NumericDegeneracyError
-
-        degenerate = ConvergentState(3, 1.0, 1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(NumericDegeneracyError):
-            degenerate.value
+        # l = 3 sits below the mean 4.5, so the query is built past its
+        # validation; there c_1 = 1 exactly and B_2 = B_1 - c_1 B_0 = 0
+        for p in (Fraction(1, 2), 0.5):
+            q = object.__new__(TailQuery)
+            for name, value in (("n", 9), ("l", 3), ("p", p)):
+                object.__setattr__(q, name, value)
+            assert cf_pair(q, 1)[0] == 1
+            with pytest.raises(NumericDegeneracyError):
+                next(convergent_stream(q))
+            with pytest.raises(NumericDegeneracyError):
+                bracket_tail(q)
 
     def test_rescaling_preserves_ratios_bitwise(self):
-        q = TailQuery(400, 260, 0.5)
-        state = ConvergentState()
-        plain = []
-        for k in range(1, 40):
-            state = advance_convergents(state, cf_coefficients(q, k))
-            plain.append(state.value)
-        # same walk, but force a power-of-two joint rescale midway
-        state = ConvergentState()
-        scaled = []
-        for k in range(1, 40):
-            if k == 17:
-                state = ConvergentState(
-                    state.m,
-                    state.A_prev * 2.0**-20,
-                    state.A_curr * 2.0**-20,
-                    state.B_prev * 2.0**-20,
-                    state.B_curr * 2.0**-20,
-                    state.scale * 2.0**-20,
-                )
-            state = advance_convergents(state, cf_coefficients(q, k))
-            scaled.append(state.value)
-        assert plain == scaled  # bit-identical ratios
+        # a plain float walk, never rescaled, takes B below 2**-512 within
+        # 300 convergents; the stream rescales on the way and must still
+        # give the same ratios bit for bit (a power of two is exact)
+        q = TailQuery(100000, 31000, 0.3)
+        n, l = q.n, q.l
+        odds = float(Fraction(q.p) / (1 - Fraction(q.p)))
+        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
+        plain, smallest = [], 1.0
+        for m in range(2, 302):
+            k = m >> 1
+            if m & 1:
+                coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
+            else:
+                coeff = -((n - k - l) * (l + k) * odds / ((l + m - 1) * (l + m)))
+            A_prev, A = A, A + coeff * A_prev
+            B_prev, B = B, B + coeff * B_prev
+            smallest = min(smallest, abs(B))
+            plain.append(A / B)
+        assert smallest < 2.0**-512
+        stream = convergent_stream(q)
+        assert [next(stream)[2] for _ in plain] == plain
 
     def test_walk_to_terminal_depth_without_underflow(self):
         # B shrinks about 100x a depth here; without the upward rescale it

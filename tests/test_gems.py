@@ -139,6 +139,20 @@ class TestQuadSurd:
                 n = rng.randint(1, 10**6)
                 assert surd.floor_times(n) == floor_mult_reference(ref, n)
 
+    def test_exact_floor_far_past_the_float_range(self):
+        # a float guess of n * value overflows here; the floor needs none
+        n = 10**400
+        assert QuadSurd.golden().floor_times(n) == (n + math.isqrt(5 * n * n)) // 2
+
+    def test_exact_floor_of_negative_y_at_large_n(self):
+        # 50 digits leave about 19 past the point at n near 10**30
+        surd = QuadSurd(Fraction(7, 3), Fraction(-1, 4), 11)
+        ref = mpmath.mpf(7) / 3 - mpmath.sqrt(11) / 4
+        rng = random.Random(29)
+        for _ in range(40):
+            n = rng.randint(10**30 - 10**6, 10**30 + 10**6)
+            assert surd.floor_times(n) == floor_mult_reference(ref, n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadSurd(Fraction(1), Fraction(1), 9)  # square d

@@ -1,10 +1,13 @@
 """Dispersion statistics against hand values and exhaustive enumeration."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certiprob.lexis import (
     CountVector,
@@ -236,3 +239,23 @@ class TestMomentsQHatFloatWeights:
         for p in (Fraction(3, 2), Fraction(-1, 2), 1.5, -0.5):
             with pytest.raises(ValueError):
                 moments_Q_hat(5, 4, p)
+
+
+@st.composite
+def moment_cases(draw):
+    """(n, s, p) with N = n*s from 4 to about 1200 and a dyadic p = a/256,
+    which a float holds exactly."""
+    N = round(10 ** draw(st.floats(math.log10(4), math.log10(1200))))
+    n = draw(st.integers(2, N // 2))
+    return n, N // n, Fraction(draw(st.integers(1, 255)), 256)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(moment_cases())
+def test_float_moments_match_their_exact_twin(case):
+    n, s, p = case
+    for got, want in zip(moments_Q_hat(n, s, float(p)), moments_Q_hat(n, s, p)):
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(float(want), rel=1e-12)

@@ -107,8 +107,8 @@ def test_left_bracket_encloses_reference(case):
 
 def stream_brackets(q, k_cap):
     """bracket_tail's (lower, upper, unclamped upper, k) after each
-    convergent up to depth k_cap, rebuilt from the public ConvergentState
-    stream and _guard."""
+    convergent up to depth k_cap, rebuilt from the public convergent_stream
+    and _guard."""
     lead_log = log_binom_pmf(q.n, q.l + 1, q.p)
     lead = math.exp(lead_log)
     odds = float(Fraction(q.p) / (1 - Fraction(q.p)))

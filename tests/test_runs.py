@@ -1,9 +1,12 @@
 """Run probabilities: four methods against enumeration and each other."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certiprob.runs import (
     CancellationError,
@@ -141,3 +144,24 @@ class TestFloatPaths:
     def test_closed_form_exact_where_floats_fail(self):
         spec = RunSpec(2000, 3, Fraction(9, 10))
         assert run_prob_beta(spec) == run_prob_oracle(spec)
+
+
+@st.composite
+def run_cases(draw):
+    """(n, r, a) for p = a/100 near (1/n)**(1/r), where a run of r turns
+    up in n tosses with odds near even, so y_n sits away from 0 and 1.
+    The exact oracle costs about n*n*r, which caps r at large n."""
+    n = round(10 ** draw(st.floats(1, 3.4)))
+    r = draw(st.integers(1, max(1, min(12, 10**7 // (n * n)))))
+    a = round(100 * n ** (-1 / r)) + draw(st.integers(-5, 5))
+    return n, r, min(max(a, 1), 99)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(run_cases())
+def test_float_paths_match_the_exact_oracle(case):
+    n, r, a = case
+    want = float(run_prob_oracle(RunSpec(n, r, Fraction(a, 100))))
+    spec = RunSpec(n, r, a / 100)
+    assert run_prob_recursive(spec) == pytest.approx(want, abs=1e-12)
+    assert run_prob_demoivre(spec) == pytest.approx(want, abs=1e-12)

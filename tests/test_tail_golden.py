@@ -2,7 +2,7 @@
 
 `tests/data/tail_golden.json` holds about 400 outputs of `bracket_tail`,
 `left_tail_bracket` and `bahadur_tail`, recorded from the scalar-generic
-`ConvergentState` walk that preceded the float walk: float and `Fraction`
+state-object walk that preceded the float walk: float and `Fraction`
 p, n up to 1e6, tol from 1e-3 to 1e-12, `k_max` None and 1 to 7, and
 l = n - 1.  Floats are stored as `float.hex`, p as `float.hex` or "a/b".
 Every replay must agree bit for bit.
