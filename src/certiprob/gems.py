@@ -79,15 +79,11 @@ def monge_shuffle(deck: Deck) -> Deck:
     """Over-under shuffle: deal cards alternately onto top and bottom.
 
     Convention: first card starts the pile, second goes on top, third
-    underneath, and so on.
+    underneath, and so on.  The pile is the even-numbered cards in reverse
+    over the odd-numbered ones in order.
     """
-    pile: list = []
-    for i, card in enumerate(deck.order):
-        if i % 2 == 1:
-            pile.insert(0, card)
-        else:
-            pile.append(card)
-    return Deck(tuple(pile))
+    order = deck.order
+    return Deck(order[1::2][::-1] + order[0::2])
 
 
 def _factorize(m: int) -> dict:
@@ -200,7 +196,18 @@ class QuadSurd:
             raise ValueError("y = 0 would make the value rational; use Fraction")
 
     def __float__(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(self.d)
+        """Correctly rounded; float(x) + float(y) * sqrt(d) can cancel.
+
+        With m = floor(2^k * value) and |m| >= 2^64, the rounding
+        boundaries of doubles near the value are multiples of 2^-k, so
+        none lies strictly between m / 2^k and (m+1) / 2^k, where the
+        irrational value does: their midpoint rounds the same way, and
+        int / int rounds correctly.
+        """
+        k = 64
+        while abs(m := self.floor_times(1 << k)) < 1 << 64:
+            k += 64
+        return (2 * m + 1) / (1 << (k + 1))
 
     @classmethod
     def golden(cls) -> "QuadSurd":
@@ -234,9 +241,8 @@ class QuadSurd:
         """beta = alpha/(alpha - 1), the complementary spectrum generator."""
         u = self.x - 1
         v = self.y
+        # nonzero: u^2 = v^2 d has no rational root for v != 0, d non-square
         norm = u * u - v * v * self.d
-        if norm == 0:
-            raise ZeroDivisionError("alpha - 1 has zero norm")
         # 1 + 1/(alpha-1) = 1 + (u - v sqrt(d)) / norm
         return QuadSurd(1 + u / norm, -v / norm, self.d)
 
@@ -250,8 +256,9 @@ _FLOAT_FLOOR_MARGIN = 1e-9
 def _floors(alpha: Alpha, horizon: int):
     """All floor(n*alpha) <= horizon as an integer array, exactly.
 
-    Floats are screened for ambiguous multiples; exact types are fast-
-    pathed through numpy with certification of any borderline entries.
+    Float multiples are taken as first guesses; the entries too close to
+    an integer to trust are recomputed by the exact floor of a QuadSurd,
+    Fraction or int alpha, and refused for a float one.
     """
     a = float(alpha)
     if a <= 1:
@@ -260,28 +267,34 @@ def _floors(alpha: Alpha, horizon: int):
     n = np.arange(1, count + 1, dtype=np.float64)
     prod = n * a
     guess = np.floor(prod).astype(np.int64)
-    # distance to the nearest integer decides who needs a second look
-    suspicious = np.abs(prod - np.rint(prod)) < max(
-        _FLOAT_FLOOR_MARGIN, count * 8e-16 * a
-    )
+    # distance to the nearest integer decides who needs a second look; the
+    # margin holds because float(alpha) is correctly rounded for exact types
+    suspicious = np.nonzero(
+        np.abs(prod - np.rint(prod)) < max(_FLOAT_FLOOR_MARGIN, count * 8e-16 * a)
+    )[0]
     if isinstance(alpha, QuadSurd):
-        for i in np.nonzero(suspicious)[0]:
-            guess[i] = alpha.floor_times(int(i) + 1)
+        exact_floor = alpha.floor_times
     elif isinstance(alpha, (Fraction, int)):
         af = _as_fraction(alpha)
-        for i in np.nonzero(suspicious)[0]:
-            m = int(i) + 1
-            guess[i] = (m * af.numerator) // af.denominator
-    else:
-        bad = np.nonzero(suspicious)[0]
-        if bad.size:
-            m = int(bad[0]) + 1
-            raise FloorAmbiguityError(
-                f"{m} * {alpha!r} is within {_FLOAT_FLOOR_MARGIN:g} of an "
-                f"integer; pass a QuadSurd or Fraction for a certified floor"
-            )
-    vals = guess[guess <= horizon]
-    return vals[vals >= 1]
+        exact_floor = lambda m: m * af.numerator // af.denominator
+    elif suspicious.size:
+        raise FloorAmbiguityError(
+            f"{int(suspicious[0]) + 1} * {alpha!r} is within "
+            f"{_FLOAT_FLOOR_MARGIN:g} of an integer; pass a QuadSurd or "
+            f"Fraction for a certified floor"
+        )
+    for i in suspicious:
+        guess[i] = exact_floor(int(i) + 1)
+    # n >= 1 and alpha > 1 put every floor at 1 or above
+    return guess[guess <= horizon]
+
+
+def _hits(generators: Sequence[Alpha], horizon: int):
+    """How many of the generators' spectra hit each of 1..horizon."""
+    hits = np.zeros(horizon + 1, dtype=np.int64)
+    for g in generators:
+        np.add.at(hits, _floors(g, horizon), 1)
+    return hits[1:]
 
 
 @dataclass(frozen=True)
@@ -323,23 +336,15 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if not float(alpha) > 1:
+        raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     if isinstance(alpha, QuadSurd):
         beta: Alpha = alpha.pair_partner()
-    elif isinstance(alpha, (Fraction, int)):
-        af = _as_fraction(alpha)
-        if af <= 1:
-            raise ValueError(f"alpha must exceed 1, got {alpha!r}")
-        beta = af / (af - 1)
     else:
-        if not alpha > 1:
-            raise ValueError(f"alpha must exceed 1, got {alpha!r}")
-        beta = alpha / (alpha - 1.0)
+        # Fraction(1) keeps an int or Fraction alpha exact, a float one float
+        beta = alpha / (alpha - Fraction(1))
 
-    hits = np.zeros(horizon + 1, dtype=np.int64)
-    for g in (alpha, beta):
-        vals = _floors(g, horizon)
-        np.add.at(hits, vals, 1)
-    hits = hits[1:]
+    hits = _hits((alpha, beta), horizon)
     missing = np.nonzero(hits == 0)[0]
     doubled = np.nonzero(hits > 1)[0]
     return BeattyPairReport(
@@ -373,10 +378,7 @@ def triple_spectrum_search(alphas: Sequence[Alpha], horizon: int) -> TripleWitne
         raise ValueError(f"need exactly three generators, got {len(alphas)}")
     if horizon < 1:
         return TripleWitness(None, None, True)
-    hits = np.zeros(horizon + 1, dtype=np.int64)
-    for g in alphas:
-        np.add.at(hits, _floors(g, horizon), 1)
-    hits = hits[1:]
+    hits = _hits(alphas, horizon)
     bad = np.nonzero(hits != 1)[0]
     if bad.size == 0:
         return TripleWitness(None, None, True)

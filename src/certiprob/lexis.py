@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import log_binom_pmf
+from .numerics import _check_p, log_binom_pmf
 
 _EQ_TOL = 1e-12  # absolute tolerance for probability-equality classification
 
@@ -116,8 +116,7 @@ class DispersionReport:
 
 def dispersion_Q(counts: CountVector, p):
     """Q = sum_i (m_i - s*p)^2 / (N p (1-p))."""
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+    _check_p(p)
     s = counts.s
     dev = sum((m - s * p) ** 2 for m in counts.m)
     return dev / (counts.N * p * (1 - p))
@@ -191,13 +190,9 @@ def empirical_Q_hat(counts: CountVector):
         raise ValueError(f"need at least 2 series, got n={n}")
     if M == 0 or M == N:
         return 1
-    if isinstance(M, int) and all(isinstance(m, int) for m in counts.m):
-        center = Fraction(s * M, N)
-        dev = sum((m - center) ** 2 for m in counts.m)
-        return Fraction(n * (N - 1), n - 1) * dev / (M * (N - M))
-    center = s * M / N
+    center = Fraction(s * M, N)
     dev = sum((m - center) ** 2 for m in counts.m)
-    return n * (N - 1) / (n - 1) * dev / (M * (N - M))
+    return Fraction(n * (N - 1), n - 1) * dev / (M * (N - M))
 
 
 def moments_Q_hat(n: int, s: int, p):

@@ -26,7 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _check_p
+
 _FAIRNESS_TOL = 1e-12
+_ROOT_RESIDUAL = 1e-10  # certified |p z^(alpha+beta) - z^alpha + q| per root
 
 
 class UnfairGameError(ValueError):
@@ -54,8 +57,7 @@ class RuinGame:
                 f"b >= beta, got a={self.a}, alpha={self.alpha}, "
                 f"b={self.b}, beta={self.beta}"
             )
-        if not 0 < self.p < 1:
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
+        _check_p(self.p)
 
     @property
     def q(self) -> float:
@@ -134,13 +136,13 @@ def ruin_chain_b_side(game: RuinGame, tol: float = 1e-10) -> float:
     return _absorption_probability(game, tol, side="B")
 
 
-def ruin_root_equation(game: RuinGame, residual_tol: float = 1e-10):
+def ruin_root_equation(game: RuinGame):
     """All alpha+beta complex roots of p z^(alpha+beta) - z^alpha + q = 0.
 
     z = 1 is always a root (p - 1 + q = 0); it is deflated first and the
     remaining roots found as companion-matrix eigenvalues, then polished
     with Newton steps on the original polynomial.  Every returned root is
-    certified to |p z^(alpha+beta) - z^alpha + q| <= residual_tol.
+    certified to |p z^(alpha+beta) - z^alpha + q| <= 1e-10.
     """
     alpha, beta, p, q = game.alpha, game.beta, game.p, game.q
     deg = alpha + beta
@@ -149,14 +151,8 @@ def ruin_root_equation(game: RuinGame, residual_tol: float = 1e-10):
     coeffs[beta] = -1.0  # z^alpha
     coeffs[deg] = q  # constant
 
-    # Synthetic division by (z - 1).
-    deflated = np.empty(deg)
-    acc = 0.0
-    for i in range(deg):
-        acc = coeffs[i] + acc
-        deflated[i] = acc
-
-    roots = list(np.roots(deflated)) if deg > 1 else []
+    # Synthetic division by (z - 1): running sums of the coefficients.
+    roots = np.roots(np.cumsum(coeffs[:-1]))
 
     def f(z):
         return p * z**deg - z**alpha + q
@@ -168,18 +164,19 @@ def ruin_root_equation(game: RuinGame, residual_tol: float = 1e-10):
     for z in roots:
         z = complex(z)
         for _ in range(50):
-            if abs(f(z)) <= 1e-3 * residual_tol:
+            fz = f(z)
+            if abs(fz) <= 1e-3 * _ROOT_RESIDUAL:
                 break
             d = fp(z)
             if d == 0:
                 break
-            z = z - f(z) / d
+            z = z - fz / d
         polished.append(z)
 
     worst = max(abs(f(z)) for z in polished)
-    if worst > residual_tol:
+    if worst > _ROOT_RESIDUAL:
         raise ArithmeticError(
-            f"root polishing left residual {worst:.3e} > {residual_tol:.3e} "
+            f"root polishing left residual {worst:.3e} > {_ROOT_RESIDUAL:.3e} "
             f"(alpha={alpha}, beta={beta}, p={p})"
         )
     polished.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))

@@ -35,6 +35,16 @@ SHUFFLE_TABLE = {
 }
 
 
+# x + sqrt(d) with x near -sqrt(d): float(x) + float(sqrt(d)) keeps only
+# about 8 of the value's digits, and float multiples past 1e4 cross integers
+CANCELLING_SURDS = [
+    QuadSurd(Fraction(-99999999), Fraction(1), 10000000076123709),
+    QuadSurd(Fraction(-99999999), Fraction(1), 10000000160262754),
+    QuadSurd(Fraction(-299999999), Fraction(1), 90000000515151261),
+    QuadSurd(Fraction(-69999999), Fraction(1), 4900000031784691),
+]
+
+
 def iterate_until_identity(shuffle, size, cap=10**6):
     deck = start = Deck.identity(size)
     for count in range(1, cap + 1):
@@ -103,6 +113,16 @@ class TestMongeShuffle:
         for two_n in range(2, 61, 2):
             assert monge_order(two_n) == iterate_until_identity(monge_shuffle, two_n)
 
+    def test_matches_dealing_loop(self):
+        for two_n in range(2, 201, 2):
+            pile = []
+            for i, card in enumerate(range(1, two_n + 1)):
+                if i % 2 == 1:
+                    pile.insert(0, card)  # even-numbered cards go on top
+                else:
+                    pile.append(card)
+            assert monge_shuffle(Deck.identity(two_n)).order == tuple(pile)
+
     def test_double_monge_fixed_points(self):
         for two_n in (8, 12, 20):
             twice = monge_shuffle(monge_shuffle(Deck.identity(two_n)))
@@ -153,6 +173,14 @@ class TestQuadSurd:
             n = rng.randint(10**30 - 10**6, 10**30 + 10**6)
             assert surd.floor_times(n) == floor_mult_reference(ref, n)
 
+    def test_float_is_within_one_ulp(self):
+        # _oracles sets mpmath to 50 digits
+        cases = [(QuadSurd.golden(), (1 + mpmath.sqrt(5)) / 2)]
+        cases += [(s, s.x.numerator + mpmath.sqrt(s.d)) for s in CANCELLING_SURDS]
+        for surd, ref in cases:
+            got = float(surd)
+            assert abs(mpmath.mpf(got) - ref) <= math.ulp(got)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadSurd(Fraction(1), Fraction(1), 9)  # square d
@@ -172,6 +200,16 @@ class TestBeattySpectra:
         report = beatty_pair_check(QuadSurd.sqrt(2), 10**4)
         assert report.ok
         assert float(report.beta) == pytest.approx(2 + math.sqrt(2), rel=1e-14)
+
+    @pytest.mark.parametrize("surd", CANCELLING_SURDS)
+    def test_cancelling_surd_pair_tiles(self, surd):
+        assert beatty_pair_check(surd, 10**5).ok
+
+    def test_cancelling_surd_spectrum_is_exact(self):
+        surd = CANCELLING_SURDS[0]
+        values = spectrum(surd, 10**5).values
+        assert values == tuple(surd.floor_times(n) for n in range(1, len(values) + 1))
+        assert surd.floor_times(len(values) + 1) > 10**5
 
     def test_rational_alpha_collides(self):
         report = beatty_pair_check(Fraction(3, 2), 50)

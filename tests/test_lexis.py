@@ -220,9 +220,11 @@ class TestMomentsQHatFloatWeights:
         assert var == pytest.approx(float(exact), rel=1e-12)
 
     def test_float_p_matches_its_exact_rational(self):
+        # the decimal is within 2**-53 relative of the float and keeps the
+        # exact twin's denominators small; Fraction(0.35) has one near 2**54
         for n, s, p in ((20, 39, 0.35), (6, 5, 0.4), (12, 12, 0.9)):
             float_moments = moments_Q_hat(n, s, p)
-            exact_moments = moments_Q_hat(n, s, Fraction(p))
+            exact_moments = moments_Q_hat(n, s, Fraction(str(p)))
             for got, want in zip(float_moments, exact_moments):
                 if want is None:
                     assert got is None
