@@ -10,17 +10,22 @@ keyed by its path ("tail",) or ("ruin", "exact"), holding its help, its
 argument specs, its provenance and a handler.  The handler takes the
 parsed arguments and returns (inputs, result, warnings); build_parser
 builds every parser from the table and main wraps what the handler
-returns in the envelope.
+returns in the envelope.  The parser is built on the first main call
+and shared by every later call in the process.
 
 Exit codes: 0 success, 1 domain/numeric error (structured error envelope
-on stdout), 2 usage error (argparse diagnostic on stderr).
+on stdout) or a failed self-check (`runs --method all` methods that
+disagree: the envelope keeps its result and names the gap in warnings),
+2 usage error (argparse diagnostic on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 import warnings
@@ -226,14 +231,24 @@ RUN_METHODS = {
 }
 
 
+class SelfCheckFailed(Exception):
+    """A handler's own cross-check failed; args are its (inputs, result, warnings)."""
+
+
 def _runs(args):
     spec = runs.RunSpec(n=args.n, r=args.r, p=args.p)
     names = list(RUN_METHODS) if args.method == "all" else [args.method]
-    return (
-        {"n": args.n, "r": args.r, "p": args.p, "method": args.method},
-        {name: float(RUN_METHODS[name](spec)) for name in names},
-        [],
-    )
+    inputs = {"n": args.n, "r": args.r, "p": args.p, "method": args.method}
+    result = {name: float(RUN_METHODS[name](spec)) for name in names}
+    warn = [
+        f"methods {a} and {b} differ by {abs(result[a] - result[b]):.3g}, "
+        f"above the agreement tolerance {runs.BETA_TOL:g}"
+        for a, b in itertools.combinations(names, 2)
+        if abs(result[a] - result[b]) > runs.BETA_TOL
+    ]
+    if warn:
+        raise SelfCheckFailed(inputs, result, warn)
+    return inputs, result, warn
 
 
 def _game(args) -> ruin.RuinGame:
@@ -476,8 +491,14 @@ GROUP_HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with one leaf parser per COMMANDS row.
+
+    Built once per process, on the first call, and shared by every later
+    call: callers must not mutate it.  Parsing leaves it unchanged (each
+    parse_args starts from a fresh namespace) and help is wrapped to the
+    terminal width at the time it is printed.
 
     --format/--seed/--tol work before or after the subcommand.  Leaves
     register them with SUPPRESS defaults, so a value given after the
@@ -521,10 +542,14 @@ def main(argv=None) -> int:
     path = (args.cmd, args.sub) if hasattr(args, "sub") else (args.cmd,)
     _, _, provenance, handler = COMMANDS[path]
     envelope = {"command": " ".join(path)}
+    code = 0
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            inputs, result, warn = handler(args)
+            try:
+                inputs, result, warn = handler(args)
+            except SelfCheckFailed as exc:
+                (inputs, result, warn), code = exc.args, 1
         envelope.update(inputs=inputs, result=result,
                         provenance=list(result if provenance is None else provenance),
                         warnings=warn)
@@ -544,7 +569,7 @@ def main(argv=None) -> int:
     print(text)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

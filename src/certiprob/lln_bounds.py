@@ -15,7 +15,9 @@ than trusted to floating logs.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,6 +109,38 @@ def bernoulli_n_bound_two_sided(query: LlnQuery) -> int:
     return max(upper, lower)
 
 
+# Bound on the relative error of the float value in cantelli_n, in units
+# of 2**-53.  eps and eta round to floats (1 unit each); e**2 * eta then
+# carries 5 units (e's twice, eta's, two roundings) and the quotient 6.
+# The log turns those into an absolute error of 6 units, at most 4.4
+# relative to a log above ln 4, and adds 2 of its own.  2 / e**2 carries
+# 5, the product and the final sum 1 each: about 13.4 in all, taken as 64.
+_CANTELLI_ERROR_ULPS = 64
+
+
+def _cantelli_floor_exact(eps: Fraction, eta: Fraction) -> int:
+    """floor((2/eps^2) ln(4/(eps^2 eta)) + 2), the log taken in decimal.
+
+    At precision P the quotient is within half a unit of its last digit
+    and Decimal.ln rounds correctly, so the log is within 10^(1-P) (1 + L)
+    of ln r.  P doubles until that interval holds no integer; the value is
+    never an integer (ln of a rational r != 1 is irrational, and r > 4),
+    so the loop ends.
+    """
+    r = 4 / (eps * eps * eta)
+    c = 2 / (eps * eps)
+    prec = 32
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            log = Fraction((decimal.Decimal(r.numerator) / decimal.Decimal(r.denominator)).ln())
+        slack = (1 + log) / 10 ** (prec - 1)
+        low = math.floor(c * (log - slack) + 2)
+        if low == math.floor(c * (log + slack) + 2):
+            return low
+        prec *= 2
+
+
 def cantelli_n(eps, eta) -> int:
     """Smallest integer strictly above (2/eps^2) ln(4/(eps^2 eta)) + 2.
 
@@ -114,13 +148,21 @@ def cantelli_n(eps, eta) -> int:
     N-th AND every later trial, with probability above 1 - eta.  The
     infinite-horizon guarantee itself is not desk-checkable; only the
     formula and its monotonicities are tested.
+
+    The value is taken for the exact eps and eta.  A float evaluation
+    settles the floor unless an integer lies within its rounding bound
+    (_CANTELLI_ERROR_ULPS); then the floor is settled in decimal.
     """
-    e = float(eps)
-    h = float(eta)
-    if not (0 < e < 1) or not (0 < h < 1):
+    if not (0 < eps < 1 and 0 < eta < 1):
         raise ValueError(f"eps and eta must lie strictly in (0, 1), got {eps!r}, {eta!r}")
-    value = (2.0 / e**2) * math.log(4.0 / (e**2 * h)) + 2.0
-    return math.floor(value) + 1
+    e, h = float(eps), float(eta)
+    if e * e * h >= sys.float_info.min:  # no subnormal or zero on the way
+        value = (2.0 / e**2) * math.log(4.0 / (e**2 * h)) + 2.0
+        slack = value * _CANTELLI_ERROR_ULPS * 2.0**-53
+        low = math.floor(value - slack)
+        if low == math.floor(value + slack):
+            return low + 1
+    return _cantelli_floor_exact(_as_fraction(eps), _as_fraction(eta)) + 1
 
 
 __all__ = [

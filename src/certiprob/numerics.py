@@ -49,10 +49,10 @@ def _as_fraction(p) -> Fraction:
 
 
 def _check_p(p) -> Fraction:
-    pf = _as_fraction(p)
-    if not (0 < pf < 1):
+    """p as an exact Fraction, once 0 < p < 1 holds (false for nan and +-inf)."""
+    if not (0 < p < 1):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return pf
+    return _as_fraction(p)
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15, to 17 digits

@@ -1,6 +1,7 @@
 """Command-line surface: envelopes, formats, rational parsing, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import certiprob
+from certiprob import cli
 from certiprob.cli import main, parse_alpha, parse_prob
 from certiprob.gems import QuadSurd
 
@@ -254,12 +256,132 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestRunsSelfCheck:
+    def test_disagreement_is_named_and_exits_one(self, capsys, monkeypatch):
+        real = cli.RUN_METHODS["beta"]
+        monkeypatch.setitem(cli.RUN_METHODS, "beta", lambda spec: real(spec) + 1e-9)
+        code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2")
+        assert code == 1
+        assert "error" not in env
+        result = env["result"]
+        assert result["beta"] == pytest.approx(result["recursive"] + 1e-9, abs=1e-15)
+        assert env["provenance"] == ["recursive", "beta", "demoivre", "oracle"]
+        assert env["warnings"] == [
+            "methods recursive and beta differ by 1e-09, above the agreement tolerance 1e-10",
+            "methods beta and demoivre differ by 1e-09, above the agreement tolerance 1e-10",
+            "methods beta and oracle differ by 1e-09, above the agreement tolerance 1e-10",
+        ]
+
+    def test_gap_within_tolerance_passes(self, capsys, monkeypatch):
+        real = cli.RUN_METHODS["oracle"]
+        monkeypatch.setitem(cli.RUN_METHODS, "oracle", lambda spec: real(spec) + 1e-11)
+        code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2")
+        assert (code, env["warnings"]) == (0, [])
+
+    def test_single_method_has_nothing_to_compare(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.RUN_METHODS, "beta", lambda spec: 2.0)
+        code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2",
+                             "--method", "beta")
+        assert (code, env["result"], env["warnings"]) == (0, {"beta": 2.0}, [])
+
+
+class TestParserReuse:
+    """One parser per process: calls share it and leave nothing behind."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_many_calls_build_once(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        for deck in (52, 10, 52):
+            assert run_json(capsys, "shuffle", "order", "--deck", str(deck))[0] == 0
+        with pytest.raises(SystemExit):
+            main(["tail", "--n", "10"])
+        # the top parser, 7 groups and 23 leaves, built by the first call only
+        assert len(built) == 1 + len(cli.GROUP_HELP) + len(cli.COMMANDS) == 31
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_append_list_does_not_grow(self, capsys):
+        argv = ("beatty", "triple", "--alpha", "phi", "--alpha", "phi2",
+                "--alpha", "sqrt:7", "--horizon", "200")
+        first = run_json(capsys, *argv)
+        second = run_json(capsys, *argv)
+        assert first == second
+        assert first[1]["inputs"]["alphas"] == ["phi", "phi2", "sqrt:7"]
+
+    def test_global_flags_do_not_leak(self, capsys):
+        tail = ("tail", "--n", "200", "--l", "80", "--p", "0.3")
+        _, env = run_json(capsys, "--tol", "1e-3", *tail)
+        assert env["inputs"]["tol"] == 1e-3
+        _, env = run_json(capsys, *tail)
+        assert env["inputs"]["tol"] == 1e-8
+
+        mc = ("bernstein", "mc", "--n", "5", "--t", "2", "--samples", "100")
+        assert run_json(capsys, "--seed", "7", *mc)[0] == 0
+        code, env = run_json(capsys, *mc)
+        assert code == 1
+        assert env["error"]["message"] == "Monte Carlo runs require an explicit --seed"
+
+        code, out = run_cli(capsys, "--format", "csv", *tail)
+        assert code == 0 and out.startswith("command,tail\n")
+        assert json.loads(run_cli(capsys, *tail)[1])["command"] == "tail"
+
+    @staticmethod
+    @functools.cache
+    def fresh(*argv):
+        ran = TestEntryPoint.run_module(*argv)
+        return ran.returncode, ran.stdout
+
+    @pytest.mark.parametrize("exit_argv, status", [
+        (["frobnicate"], 2),
+        (["tail", "--n", "ten", "--l", "3", "--p", "0.5"], 2),
+        (["--help"], 0),
+        (["ruin", "exact", "--help"], 0),
+    ])
+    def test_exit_then_valid_call_matches_fresh_process(self, capsys, exit_argv, status):
+        with pytest.raises(SystemExit) as exc:
+            main(exit_argv)
+        assert exc.value.code == status
+        capsys.readouterr()
+        for argv in (("shuffle", "order", "--deck", "52"),
+                     ("tail", "--n", "100", "--l", "200", "--p", "0.3")):
+            assert run_cli(capsys, *argv) == self.fresh(*argv)
+
+    def test_help_follows_columns_at_call_time(self, capsys, monkeypatch):
+        pages = {}
+        for width in (40, 120, 40):
+            monkeypatch.setenv("COLUMNS", str(width))
+            with pytest.raises(SystemExit):
+                main(["tail", "--help"])
+            page = capsys.readouterr().out
+            assert pages.setdefault(width, page) == page
+            assert max(map(len, page.splitlines())) <= width
+        assert pages[40] != pages[120]
+
+
 class TestFloatRefusal:
     def test_runs_cancellation_is_error_envelope(self, capsys):
         code, env = run_json(capsys, "runs", "--n", "2000", "--r", "3", "--p", "0.9")
         assert code == 1
         assert env["error"]["type"] == "CancellationError"
         assert env["result"] is None
+
+    @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+    def test_non_finite_p_is_range_error(self, capsys, p):
+        code, env = run_json(capsys, "tail", "--n", "10", "--l", "5", f"--p={p}")
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
+        assert env["error"]["message"].startswith("p must lie strictly in (0, 1), got ")
 
     def test_lexis_moments_probability_out_of_range(self, capsys):
         code, env = run_json(capsys, "lexis", "moments", "--n", "5", "--s", "4", "--p", "3/2")

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from certiprob.lln_bounds import (
@@ -136,3 +137,37 @@ class TestCantelli:
             cantelli_n(0.0, 0.5)
         with pytest.raises(ValueError):
             cantelli_n(0.5, 1.0)
+        with pytest.raises(ValueError):
+            cantelli_n(math.nan, 0.5)
+
+    # eps = 1/10 puts the value at 1203 when eta = 400 exp(-6.005)
+    # = 0.98655573944362048677...; these two eta sit about 1.15e-16 below
+    # and above it, so the value is 1203 + 2.0e-15 and 1203 - 4.5e-14
+    @pytest.mark.parametrize("eta_num, want", [
+        (3946222957774481487, 1204),
+        (3946222957774482407, 1203),
+    ])
+    def test_near_integer_value_matches_mpmath(self, eta_num, want):
+        eps, eta = Fraction(1, 10), Fraction(eta_num, 4 * 10**18)
+        with mpmath.workdps(50):
+            e = mpmath.mpf(1) / 10
+            h = mpmath.mpf(eta.numerator) / eta.denominator
+            value = 2 / e**2 * mpmath.log(4 / (e**2 * h)) + 2
+            assert int(mpmath.floor(value)) + 1 == want
+        assert cantelli_n(eps, eta) == want
+
+    def test_float_inputs_are_their_exact_values(self):
+        # the floats nearest the two eta above, against their binary values
+        for eta_num in (3946222957774481487, 3946222957774482407):
+            eta = eta_num / (4 * 10**18)
+            with mpmath.workdps(50):
+                e, h = mpmath.mpf(0.1), mpmath.mpf(eta)
+                value = 2 / e**2 * mpmath.log(4 / (e**2 * h)) + 2
+                assert cantelli_n(0.1, eta) == int(mpmath.floor(value)) + 1
+
+    def test_past_the_float_range(self):
+        # eps**2 underflows a double; the value has about 400 digits
+        eps, eta = Fraction(1, 10**200), Fraction(1, 3)
+        with mpmath.workdps(450):
+            value = 2 * mpmath.mpf(10) ** 400 * mpmath.log(12 * mpmath.mpf(10) ** 400) + 2
+            assert cantelli_n(eps, eta) == int(mpmath.floor(value)) + 1

@@ -6,12 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from certiprob.binom_tail import TailQuery, bahadur_tail
+from certiprob.lexis import CountVector, dispersion_Q
 from certiprob.numerics import (
     TailConventionWarning,
     binom_tail_exact,
     binom_tail_fraction,
     log_binom_pmf,
 )
+
+from certiprob.ruin import RuinGame
+from certiprob.runs import RunSpec
 
 from _oracles import log_pmf_reference, tail_fraction_oracle
 
@@ -132,3 +137,21 @@ class TestBinomTailFraction:
             l = rng.randint(-1, n + 0)
             p = Fraction(rng.randint(1, 9), 10)
             assert binom_tail_fraction(n, l, p) == tail_fraction_oracle(n, l, p)
+
+
+# Every caller of the shared p-range check, as a function of p alone.
+P_CALLERS = {
+    "TailQuery": lambda p: TailQuery(10, 5, p),
+    "bahadur_tail": lambda p: bahadur_tail(10, 6, p),
+    "RunSpec": lambda p: RunSpec(10, 3, p),
+    "RuinGame": lambda p: RuinGame(5, 5, 1, 1, p),
+    "dispersion_Q": lambda p: dispersion_Q(CountVector(m=(1, 2), s=3), p),
+}
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("caller", list(P_CALLERS))
+def test_non_finite_p_gets_the_range_message(caller, p):
+    # the range is tested on p itself, before any Fraction conversion
+    with pytest.raises(ValueError, match=r"p must lie strictly in \(0, 1\)"):
+        P_CALLERS[caller](p)
