@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,15 +108,6 @@ def bernoulli_n_bound_two_sided(query: LlnQuery) -> int:
     return max(upper, lower)
 
 
-# Bound on the relative error of the float value in cantelli_n, in units
-# of 2**-53.  eps and eta round to floats (1 unit each); e**2 * eta then
-# carries 5 units (e's twice, eta's, two roundings) and the quotient 6.
-# The log turns those into an absolute error of 6 units, at most 4.4
-# relative to a log above ln 4, and adds 2 of its own.  2 / e**2 carries
-# 5, the product and the final sum 1 each: about 13.4 in all, taken as 64.
-_CANTELLI_ERROR_ULPS = 64
-
-
 def _cantelli_floor_exact(eps: Fraction, eta: Fraction) -> int:
     """floor((2/eps^2) ln(4/(eps^2 eta)) + 2), the log taken in decimal.
 
@@ -149,19 +139,12 @@ def cantelli_n(eps, eta) -> int:
     infinite-horizon guarantee itself is not desk-checkable; only the
     formula and its monotonicities are tested.
 
-    The value is taken for the exact eps and eta.  A float evaluation
-    settles the floor unless an integer lies within its rounding bound
-    (_CANTELLI_ERROR_ULPS); then the floor is settled in decimal.
+    The value is taken for the exact eps and eta, its floor settled in
+    decimal (_cantelli_floor_exact), so near-integer values cannot round
+    to the wrong side.
     """
     if not (0 < eps < 1 and 0 < eta < 1):
         raise ValueError(f"eps and eta must lie strictly in (0, 1), got {eps!r}, {eta!r}")
-    e, h = float(eps), float(eta)
-    if e * e * h >= sys.float_info.min:  # no subnormal or zero on the way
-        value = (2.0 / e**2) * math.log(4.0 / (e**2 * h)) + 2.0
-        slack = value * _CANTELLI_ERROR_ULPS * 2.0**-53
-        low = math.floor(value - slack)
-        if low == math.floor(value + slack):
-            return low + 1
     return _cantelli_floor_exact(_as_fraction(eps), _as_fraction(eta)) + 1
 
 

@@ -278,12 +278,6 @@ class TestRunsSelfCheck:
         code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2")
         assert (code, env["warnings"]) == (0, [])
 
-    def test_single_method_has_nothing_to_compare(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.RUN_METHODS, "beta", lambda spec: 2.0)
-        code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2",
-                             "--method", "beta")
-        assert (code, env["result"], env["warnings"]) == (0, {"beta": 2.0}, [])
-
 
 class TestParserReuse:
     """One parser per process: calls share it and leave nothing behind."""
