@@ -25,15 +25,13 @@ overflow nor underflow at any depth; a power of two is exact in binary
 floating point, so the ratios A_m/B_m are bit-identical whether or not a
 rescale fired.
 
-bracket_tail recurses in floats on four locals, with coefficients built
-from the exact ratio p/q rounded once, and pushes its endpoints out by a
-margin derived from the error bounds of the lead term, the recursion and
-that rounding (see _guard).  convergent_stream is the one public walk and
-the cross-check: it runs the same recursion, scalar-generic.  With a
-Fraction p every convergent comes out as an exact rational, which is how
-the test suite verifies the interleaving property; with a float p it
-repeats bracket_tail's arithmetic operation for operation, so the two
-float walks agree bit for bit.
+There is one walk, _convergents.  bracket_tail runs it in floats, with
+coefficients built from the exact ratio p/q rounded once, and pushes its
+endpoints out by a margin derived from the error bounds of the lead
+term, the recursion and that rounding (see _guard).  convergent_stream
+exposes the same walk; with a Fraction p every convergent comes out as
+an exact rational, which is how the test suite verifies the
+interleaving property and cross-checks the float walk.
 """
 
 from __future__ import annotations
@@ -126,23 +124,17 @@ def _float_odds(p) -> float:
     return num / (den - num)
 
 
-def convergent_stream(query: TailQuery):
-    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
+def _convergents(n: int, l: int, k_cap: int, odds):
+    """Yield (k, kind, A_m/B_m) for m = 2 .. 2*k_cap + 1: C_1, D_1, ..., D_{k_cap}.
 
-    kind is "C" or "D".  With a Fraction p every value is an exact
-    rational; with any other p the walk runs in floats with the joint
-    power-of-two rescale, and its arithmetic is bracket_tail's operation
-    for operation, so the two walks agree bit for bit.
+    Exact rationals when odds is a Fraction; otherwise floats, with the
+    joint power-of-two rescale.  Both coefficients of depth k = m // 2
+    share the denominator (l + m - 1)(l + m); c_k enters negated, and
+    A + (-c)*A_prev rounds exactly as A - c*A_prev does.
     """
-    n, l, p = query.n, query.l, query.p
-    exact = isinstance(p, Fraction)
-    if exact:
-        odds = p / (1 - p)
-        A_prev, A, B_prev, B = Fraction(0), Fraction(1), Fraction(1), Fraction(1)
-    else:
-        odds = _float_odds(p)
-        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
-    for m in range(2, 2 * query.k_terminal + 2):
+    exact = isinstance(odds, Fraction)
+    A_prev, A, B_prev, B = 0, 1, 1, 1  # the first coefficient sets the type
+    for m in range(2, 2 * k_cap + 2):
         k = m >> 1
         if m & 1:
             coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
@@ -159,6 +151,18 @@ def convergent_stream(query: TailQuery):
         if B == 0:
             raise NumericDegeneracyError(f"B_{m} = 0")
         yield k, "D" if m & 1 else "C", A / B
+
+
+def convergent_stream(query: TailQuery):
+    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
+
+    kind is "C" or "D".  With a Fraction p every value is an exact
+    rational; with any other p these are the float convergents that
+    bracket_tail walks.
+    """
+    p = query.p
+    odds = p / (1 - p) if isinstance(p, Fraction) else _float_odds(p)
+    return _convergents(query.n, query.l, query.k_terminal, odds)
 
 
 @dataclass(frozen=True)
@@ -184,11 +188,9 @@ def bracket_tail(
     Walks the float convergents C_1, D_1, C_2, ..., keeping the largest
     even-indexed one (lower side) and the smallest odd-indexed one (upper
     side); the bracket is the pair scaled by the lead term, with endpoints
-    pushed outward by the derived rounding margin _guard.  The walk runs
-    the forward recursion on four local floats; convergent_stream repeats
-    it with the same coefficient expressions, rescale rule and
-    zero-denominator check, so the float convergents of the two are
-    bit-identical, and the stream is the cross-check of this walk.
+    pushed outward by the derived rounding margin _guard.  For a float p
+    the convergents are those convergent_stream yields; for a Fraction p
+    the walk still runs in floats, on p/q rounded once.
 
     Iteration stops as soon as the pushed-out endpoints satisfy
     upper - lower <= tol * upper (checked after every new convergent, so a
@@ -241,33 +243,13 @@ def bracket_tail(
         lower, upper, k_used = lead * (1.0 - g), min(lead * (1.0 + g), 1.0), 0
         lower = lower if lower >= _TINY else 0.0
     else:
-        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
         best_lo = 0.0  # even side, in S units
         best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
-        # Q_m = A_m / B_m is C_k at m = 2k and D_k at m = 2k + 1; both
-        # coefficients of depth k share the denominator (l + m - 1)(l + m).
-        # c_k enters negated: A + (-c)*A_prev rounds exactly as
-        # A - c*A_prev does.
-        m_term = 2 * k_term + 1
-        for m in range(2, 2 * k_cap + 2):
-            k_used = m >> 1
-            if m & 1:
-                coeff = k_used * (n + k_used) * odds / ((l + m - 1) * (l + m))
-            else:
-                coeff = -((n - k_used - l) * (l + k_used) * odds / ((l + m - 1) * (l + m)))
+        for k_used, kind, v in _convergents(n, l, k_cap, odds):
+            if kind == "C":
                 g = _guard(lead_log, k_used, kappa)
                 up_f, lo_f = 1.0 + g, 1.0 - g
-            A_prev, A = A, A + coeff * A_prev
-            B_prev, B = B, B + coeff * B_prev
-            a, b = abs(A), abs(B)
-            big = b if b > a else a
-            if big > RESCALE_THRESHOLD or big < RESCALE:
-                f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
-                A, B, A_prev, B_prev = A * f, B * f, A_prev * f, B_prev * f
-            if B == 0:
-                raise NumericDegeneracyError(f"B_{m} = 0")
-            v = A / B
-            if m == m_term:
+            if k_used == k_term and kind == "D":
                 best_lo = best_hi = v  # terminal convergent equals S exactly
             elif k_used & 1:
                 if v < best_hi:

@@ -16,8 +16,7 @@ Four loosely related classics, all with exact integer backbones:
 Floors of irrational multiples are never trusted to floating point:
 quadratic irrationals carry (x + y*sqrt(d)) exactly and every floor is
 certified with integer square roots, falling back to float only as a
-first guess.  Plain-float inputs get explicit ambiguity detection
-instead.
+first guess.  A plain float is read as the exact rational it is.
 """
 
 from __future__ import annotations
@@ -171,10 +170,6 @@ def full_cycle_shuffle_stats(max_deck: int):
 # Beatty spectra
 
 
-class FloorAmbiguityError(ValueError):
-    """A float multiple sat too close to an integer to certify its floor."""
-
-
 @dataclass(frozen=True)
 class QuadSurd:
     """Exact quadratic irrational x + y*sqrt(d), x and y rational, y != 0.
@@ -249,16 +244,13 @@ class QuadSurd:
 
 Alpha = Union[QuadSurd, Fraction, float]
 
-# float multiples closer than this to an integer are refused, not guessed
-_FLOAT_FLOOR_MARGIN = 1e-9
-
 
 def _floors(alpha: Alpha, horizon: int):
     """All floor(n*alpha) <= horizon as an integer array, exactly.
 
     Float multiples are taken as first guesses; the entries too close to
     an integer to trust are recomputed by the exact floor of a QuadSurd,
-    Fraction or int alpha, and refused for a float one.
+    or of the exact rational a Fraction, int or float alpha is.
     """
     a = float(alpha)
     if a <= 1:
@@ -267,22 +259,15 @@ def _floors(alpha: Alpha, horizon: int):
     n = np.arange(1, count + 1, dtype=np.float64)
     prod = n * a
     guess = np.floor(prod).astype(np.int64)
-    # distance to the nearest integer decides who needs a second look; the
-    # margin holds because float(alpha) is correctly rounded for exact types
-    suspicious = np.nonzero(
-        np.abs(prod - np.rint(prod)) < max(_FLOAT_FLOOR_MARGIN, count * 8e-16 * a)
-    )[0]
+    # float(alpha) is correctly rounded (exact for a float), so fl(n*fl(alpha))
+    # lies within about 2u*n*alpha of n*alpha, u = 2**-53; the margin covers
+    # that, and a guess farther than it from every integer has the right floor
+    suspicious = np.nonzero(np.abs(prod - np.rint(prod)) < count * 8e-16 * a)[0]
     if isinstance(alpha, QuadSurd):
         exact_floor = alpha.floor_times
-    elif isinstance(alpha, (Fraction, int)):
-        af = _as_fraction(alpha)
+    else:
+        af = _as_fraction(alpha)  # floats convert exactly
         exact_floor = lambda m: m * af.numerator // af.denominator
-    elif suspicious.size:
-        raise FloorAmbiguityError(
-            f"{int(suspicious[0]) + 1} * {alpha!r} is within "
-            f"{_FLOAT_FLOOR_MARGIN:g} of an integer; pass a QuadSurd or "
-            f"Fraction for a certified floor"
-        )
     for i in suspicious:
         guess[i] = exact_floor(int(i) + 1)
     # n >= 1 and alpha > 1 put every floor at 1 or above
@@ -477,7 +462,6 @@ __all__ = [
     "TripleWitness",
     "triple_spectrum_search",
     "wythoff_cold",
-    "FloorAmbiguityError",
     "partition_exact",
     "partition_uspensky",
 ]

@@ -29,8 +29,6 @@ from typing import Optional, Sequence
 
 from .numerics import _check_p, log_binom_pmf
 
-_EQ_TOL = 1e-12  # absolute tolerance for probability-equality classification
-
 
 class Regime(enum.Enum):
     BERNOULLI = "bernoulli"
@@ -123,18 +121,14 @@ def dispersion_Q(counts: CountVector, p):
 
 
 def _classify(trials: TrialMatrix) -> Regime:
+    # exact: floats and Fractions are rationals, and == compares them as such
     rows = trials.p
     flat = [x for r in rows for x in r]
-    if max(flat) - min(flat) <= _EQ_TOL:
+    if max(flat) == min(flat):
         return Regime.BERNOULLI
-    rows_constant = all(max(r) - min(r) <= _EQ_TOL for r in rows)
-    if rows_constant:
+    if all(max(r) == min(r) for r in rows):
         return Regime.LEXIS
-    first = rows[0]
-    rows_identical = all(
-        abs(x - y) <= _EQ_TOL for r in rows[1:] for x, y in zip(first, r)
-    )
-    if rows_identical:
+    if all(r == rows[0] for r in rows[1:]):
         return Regime.POISSON
     return Regime.MIXED
 

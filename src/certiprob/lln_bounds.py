@@ -55,7 +55,15 @@ def bernoulli_alpha(query: LlnQuery) -> int:
     eta = _as_fraction(query.eta)
     ratio = p / (p + eps)
 
-    guess = max(1, math.ceil(math.log(float(eta)) / math.log(float(ratio))))
+    # logs from the integers: float(eta) or float(ratio) can underflow to 0
+    log_eta = math.log(eta.numerator) - math.log(eta.denominator)
+    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    if log_ratio >= 0:
+        raise ValueError(
+            f"the float log of p/(p+eps) is 0 (p={query.p!r}, eps={query.eps!r}): "
+            f"eps is too small against p to seed the search for alpha"
+        )
+    guess = max(1, math.ceil(log_eta / log_ratio))
     alpha = guess
     while ratio**alpha > eta:  # exact comparisons
         alpha += 1

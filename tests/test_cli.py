@@ -219,6 +219,12 @@ class TestSubcommands:
         )
         assert env["result"]["disjoint"] and env["result"]["covers"]
 
+    def test_beatty_float_alpha_reads_exactly(self, capsys):
+        # 2 * 2.5 is the integer 5: the float is read as 5/2, not refused
+        code, env = run_json(capsys, "beatty", "pair", "--alpha", "2.5", "--horizon", "10")
+        assert code == 0
+        assert env["result"]["disjoint"] is False
+
     def test_beatty_triple(self, capsys):
         _, env = run_json(
             capsys, "beatty", "triple", "--alpha", "phi", "--alpha", "phi2",
@@ -376,6 +382,15 @@ class TestFloatRefusal:
         assert code == 1
         assert env["error"]["type"] == "ValueError"
         assert env["error"]["message"].startswith("p must lie strictly in (0, 1), got ")
+
+    def test_lln_ratio_rounding_to_one_is_named(self, capsys):
+        code, env = run_json(
+            capsys, "lln", "bernoulli", "--p", "1/2",
+            "--eps", "1/100000000000000000000", "--eta", "1/10",
+        )
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
+        assert env["error"]["message"].startswith("the float log of p/(p+eps) is 0")
 
     def test_lexis_moments_probability_out_of_range(self, capsys):
         code, env = run_json(capsys, "lexis", "moments", "--n", "5", "--s", "4", "--p", "3/2")

@@ -9,7 +9,6 @@ import pytest
 
 from certiprob.gems import (
     Deck,
-    FloorAmbiguityError,
     QuadSurd,
     beatty_pair_check,
     full_cycle_shuffle_stats,
@@ -221,9 +220,11 @@ class TestBeattySpectra:
         report = beatty_pair_check((1 + math.sqrt(5)) / 2, 1000)
         assert report.ok
 
-    def test_float_ambiguity_detected(self):
-        with pytest.raises(FloorAmbiguityError):
-            spectrum(1.5, 100)  # 2 * 1.5 is an integer: hopeless in floats
+    def test_float_alpha_read_exactly(self):
+        # 2 * 1.5 is an integer: the float 1.5 is the rational 3/2
+        assert spectrum(1.5, 100).values == tuple(
+            v for v in (3 * n // 2 for n in range(1, 101)) if v <= 100
+        )
 
     def test_spectrum_strictly_increasing(self):
         vals = spectrum(QuadSurd.sqrt(3), 500).values

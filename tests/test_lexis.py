@@ -71,6 +71,15 @@ class TestExpectedD:
         trials = TrialMatrix(p=((0.1, 0.5), (0.7, 0.2)))
         assert expected_D(trials)[1] is Regime.MIXED
 
+    def test_regime_equality_is_exact(self):
+        # a 1e-13 gap is a real difference, not rounding noise
+        trials = TrialMatrix(p=((0.3, 0.3 + 1e-13),) * 2)
+        assert expected_D(trials)[1] is Regime.POISSON
+
+    def test_fraction_equals_its_float(self):
+        trials = TrialMatrix(p=((Fraction(1, 2), 0.5),) * 2)
+        assert expected_D(trials)[1] is Regime.BERNOULLI
+
     def test_matches_full_enumeration(self):
         # tiny instances: E(Q) summed over every 0/1 outcome
         rng = random.Random(77)

@@ -53,6 +53,14 @@ class TestBernoulliAlpha:
             assert ratio**a <= eta
             assert a == 1 or ratio ** (a - 1) > eta
 
+    def test_eta_below_the_float_range(self):
+        # float(eta) is 0.0 here; the answer is still pinned exactly
+        p, eps, eta = Fraction(1, 2), Fraction(1, 10), Fraction(1, 10**400)
+        a = bernoulli_alpha(LlnQuery(p, eps, eta))
+        ratio = p / (p + eps)
+        assert ratio**a <= eta < ratio ** (a - 1)
+        assert a == 5052
+
     def test_matches_iteration_on_grid(self):
         for p in (0.2, 0.5, 0.8):
             for eps in (0.05, 0.1):
