@@ -326,8 +326,9 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
     if isinstance(alpha, QuadSurd):
         beta: Alpha = alpha.pair_partner()
     else:
-        # Fraction(1) keeps an int or Fraction alpha exact, a float one float
-        beta = alpha / (alpha - Fraction(1))
+        # the partner of an int, Fraction or float alpha is the exact rational
+        a = _as_fraction(alpha)
+        beta = a / (a - 1)
 
     hits = _hits((alpha, beta), horizon)
     missing = np.nonzero(hits == 0)[0]

@@ -225,6 +225,13 @@ class TestSubcommands:
         assert code == 0
         assert env["result"]["disjoint"] is False
 
+    def test_beatty_float_alpha_partner_is_exact(self, capsys):
+        # the partner of 3.5 is 7/5 exactly, not fl(3.5 / 2.5) < 7/5
+        code, env = run_json(capsys, "beatty", "pair", "--alpha", "3.5", "--horizon", "10")
+        assert code == 0
+        assert env["result"]["disjoint"] is False
+        assert env["result"]["covers"] is False
+
     def test_beatty_triple(self, capsys):
         _, env = run_json(
             capsys, "beatty", "triple", "--alpha", "phi", "--alpha", "phi2",

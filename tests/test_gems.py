@@ -226,6 +226,14 @@ class TestBeattySpectra:
             v for v in (3 * n // 2 for n in range(1, 101)) if v <= 100
         )
 
+    def test_float_alpha_partner_is_exact(self):
+        # fl(3.5 / 2.5) lies below 7/5; the exact partner of 7/2 is 7/5,
+        # so the pair misses 6 and hits 7 twice
+        report = beatty_pair_check(3.5, 10)
+        assert report.beta == Fraction(7, 5)
+        assert (report.first_missing, report.first_double) == (6, 7)
+        assert not report.ok
+
     def test_spectrum_strictly_increasing(self):
         vals = spectrum(QuadSurd.sqrt(3), 500).values
         assert all(a < b for a, b in zip(vals, vals[1:]))
