@@ -4,14 +4,16 @@ Four loosely related classics, all with exact integer backbones:
 
 * perfect in-shuffles move card i to position 2i mod (2n+1), so the
   recycling count of a 2n-card deck is the multiplicative order of 2
-  modulo 2n+1; the over-under (Monge) shuffle gets the same treatment by
-  brute permutation analysis;
+  modulo 2n+1, found from a trial-division factorization that stops at a
+  cofactor certified prime by deterministic Miller-Rabin; the over-under
+  (Monge) shuffle gets the same treatment by brute permutation analysis;
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
   three spectra can - witnesses for the failure are searched exhaustively;
 * the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2));
-* partition counts p(n) by the pentagonal-number recurrence, with the
-  classical asymptotic and its sharpened (n - 1/24) refinement.
+* partition counts p(n) by the pentagonal-number recurrence, summed over
+  a table of the generalized pentagonal numbers, with the classical
+  asymptotic and its sharpened (n - 1/24) refinement.
 
 Floors of irrational multiples are never trusted to floating point:
 quadratic irrationals carry (x + y*sqrt(d)) exactly and every floor is
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -85,15 +88,60 @@ def monge_shuffle(deck: Deck) -> Deck:
     return Deck(order[1::2][::-1] + order[0::2])
 
 
+# Sorenson & Webster (2017): no composite below this bound is a strong
+# probable prime to all of the first 13 prime bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _certified_prime(x: int) -> bool:
+    """True if x is prime and below _MR_BOUND, where Miller-Rabin to the
+    bases _MR_BASES is deterministic; False for composites and for every
+    x at or above the bound, prime or not.
+    """
+    if x < 2 or x >= _MR_BOUND:
+        return False
+    for b in _MR_BASES:
+        if x % b == 0:
+            return x == b
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        y = pow(b, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factorize(m: int) -> dict:
-    """Trial-division factorization; fine for the modulus sizes in play."""
+    """Trial-division factorization that stops at a certified prime.
+
+    The cofactor is tested by _certified_prime at the start and after
+    each prime factor is divided out; once it is certified, it is the
+    last factor.  Below Sorenson and Webster's bound of about 3.3e24 a
+    prime modulus costs 13 modular powers instead of sqrt(m)/2 trial
+    divisions; at or above it no cofactor is certified and trial division
+    runs to the square root, so no factor ever rests on a probable-prime
+    test.
+    """
     factors: dict = {}
     x = m
     f = 2
-    while f * f <= x:
-        while x % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            x //= f
+    done = _certified_prime(x)
+    while not done and f * f <= x:
+        if x % f == 0:
+            while x % f == 0:
+                factors[f] = factors.get(f, 0) + 1
+                x //= f
+            done = _certified_prime(x)
         f += 1 if f == 2 else 2
     if x > 1:
         factors[x] = factors.get(x, 0) + 1
@@ -256,13 +304,16 @@ def _floors(alpha: Alpha, horizon: int):
     if a <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     count = int(horizon / a) + 2
-    n = np.arange(1, count + 1, dtype=np.float64)
-    prod = n * a
-    guess = np.floor(prod).astype(np.int64)
+    prod = np.arange(1, count + 1, dtype=np.float64)
+    prod *= a
+    floors = np.floor(prod)
+    prod -= floors  # the fractional part; exact, as prod >= 1
     # float(alpha) is correctly rounded (exact for a float), so fl(n*fl(alpha))
     # lies within about 2u*n*alpha of n*alpha, u = 2**-53; the margin covers
     # that, and a guess farther than it from every integer has the right floor
-    suspicious = np.nonzero(np.abs(prod - np.rint(prod)) < count * 8e-16 * a)[0]
+    margin = count * 8e-16 * a
+    suspicious = np.nonzero((prod < margin) | (prod > 1 - margin))[0]
+    guess = floors.astype(np.int64)
     if isinstance(alpha, QuadSurd):
         exact_floor = alpha.floor_times
     else:
@@ -270,8 +321,8 @@ def _floors(alpha: Alpha, horizon: int):
         exact_floor = lambda m: m * af.numerator // af.denominator
     for i in suspicious:
         guess[i] = exact_floor(int(i) + 1)
-    # n >= 1 and alpha > 1 put every floor at 1 or above
-    return guess[guess <= horizon]
+    # the floors increase strictly, from 1 up, as n >= 1 and alpha > 1
+    return guess[: np.searchsorted(guess, horizon, side="right")]
 
 
 def _hits(generators: Sequence[Alpha], horizon: int):
@@ -395,32 +446,44 @@ _PARTITION_CACHE = [1]  # p(0); grows monotonically under the lock below
 _PARTITION_LOCK = threading.Lock()
 
 
+def _pentagonal_offsets(n: int):
+    """Generalized pentagonal numbers g = k(3k -+ 1)/2 <= n, ascending,
+    split by the recurrence's sign (-1)^(k+1): (plus, minus)."""
+    plus, minus = [], []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        side = plus if k % 2 else minus
+        side.append(g)
+        if g + k <= n:  # k(3k+1)/2
+            side.append(g + k)
+        k += 1
+    return plus, minus
+
+
 def partition_exact(n: int) -> int:
     """p(n) by the pentagonal-number recurrence, exact big integers.
 
     p(m) = sum_{k>=1} (-1)^(k+1) [ p(m - k(3k-1)/2) + p(m - k(3k+1)/2) ]
 
-    Values are memoized; the lock keeps the cache append-only under
-    concurrent callers.
+    The pentagonal numbers up to n are tabled once per growth of the memo,
+    split by sign; while the memo holds p(0..m-1), cache[-g] is p(m - g),
+    so each p(m) is two sums over the offsets g <= m.  Values are memoized;
+    the lock keeps the cache append-only under concurrent callers.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     with _PARTITION_LOCK:
         cache = _PARTITION_CACHE
-        for m in range(len(cache), n + 1):
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                if g1 > m:
-                    break
-                sign = 1 if k % 2 == 1 else -1
-                total += sign * cache[m - g1]
-                g2 = k * (3 * k + 1) // 2
-                if g2 <= m:
-                    total += sign * cache[m - g2]
-                k += 1
-            cache.append(total)
+        if len(cache) <= n:
+            plus, minus = _pentagonal_offsets(n)
+            neg_plus = [-g for g in plus]
+            neg_minus = [-g for g in minus]
+            get = cache.__getitem__
+            for m in range(len(cache), n + 1):
+                cache.append(
+                    sum(map(get, neg_plus[: bisect_right(plus, m)]))
+                    - sum(map(get, neg_minus[: bisect_right(minus, m)]))
+                )
         return cache[n]
 
 

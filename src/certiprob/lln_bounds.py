@@ -9,8 +9,9 @@ Two classical bounds are provided as honest integer outputs:
 
 The blocking bound hinges on an auxiliary integer alpha, the least power
 at which (p/(p+eps))^alpha <= eta.  An off-by-one in alpha silently voids
-the guarantee, so alpha is certified in exact rational arithmetic rather
-than trusted to floating logs.
+the guarantee, so alpha is certified by decimal logs whose error is
+bounded, refined until no integer is in doubt, rather than trusted to
+floating logs.
 """
 
 from __future__ import annotations
@@ -43,33 +44,48 @@ class LlnQuery:
             )
 
 
+def _ln_enclosure(q: Fraction, prec: int):
+    """(value, error): ln q from decimal logs of its numerator and
+    denominator at prec digits, |value - ln q| <= error.
+
+    Decimal.ln rounds correctly, so each log is within half a unit of its
+    last digit, below |log| * 10^(1-prec); the difference is exact.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        logs = [Fraction(decimal.Decimal(v).ln()) for v in (q.numerator, q.denominator)]
+    return logs[0] - logs[1], (abs(logs[0]) + abs(logs[1])) / 10 ** (prec - 1)
+
+
 def bernoulli_alpha(query: LlnQuery) -> int:
     """Least alpha >= 1 with (p/(p+eps))^alpha <= eta, certified exactly.
 
-    A float-log estimate seeds the search; the answer is then pinned by
-    exact rational power comparisons, so the result is immune to the
-    rounding of the logs.
+    alpha = ceil(x) with x = ln eta / ln ratio.  x is enclosed by decimal
+    logs at a precision that doubles until the enclosure holds no integer.
+    x can be an integer K only if ratio^K = eta: ratio = a/b in lowest
+    terms with b >= 2, so b^K must be eta's denominator, and K is at most
+    its bit length.  An enclosure holding a single integer K that small
+    is settled by one exact power instead.
     """
     p = _as_fraction(query.p)
     eps = _as_fraction(query.eps)
     eta = _as_fraction(query.eta)
     ratio = p / (p + eps)
-
-    # logs from the integers: float(eta) or float(ratio) can underflow to 0
-    log_eta = math.log(eta.numerator) - math.log(eta.denominator)
-    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
-    if log_ratio >= 0:
-        raise ValueError(
-            f"the float log of p/(p+eps) is 0 (p={query.p!r}, eps={query.eps!r}): "
-            f"eps is too small against p to seed the search for alpha"
-        )
-    guess = max(1, math.ceil(log_eta / log_ratio))
-    alpha = guess
-    while ratio**alpha > eta:  # exact comparisons
-        alpha += 1
-    while alpha > 1 and ratio ** (alpha - 1) <= eta:
-        alpha -= 1
-    return alpha
+    k_max = eta.denominator.bit_length()
+    prec = 32
+    while True:
+        # both logs are negative: x = |ln eta| / |ln ratio| > 0, and high >= 0
+        log_eta, err_eta = _ln_enclosure(eta, prec)
+        log_ratio, err_ratio = _ln_enclosure(ratio, prec)
+        if -log_ratio > err_ratio:
+            low = (-log_eta - err_eta) / (-log_ratio + err_ratio)
+            high = (-log_eta + err_eta) / (-log_ratio - err_ratio)
+            k = math.floor(high)
+            if k < low:  # no integer in [low, high]
+                return k + 1
+            if k - 1 < low and k <= k_max:  # k is the only integer in it
+                return k if ratio**k <= eta else k + 1
+        prec *= 2
 
 
 def bernoulli_n_bound(query: LlnQuery) -> int:

@@ -241,6 +241,25 @@ def wythoff_cold_retrograde(limit: int):
 
 
 # --------------------------------------------------------------------------
+# sample-size bounds
+
+
+def lln_alpha_mpmath(p, eps, eta) -> int:
+    """ceil(ln eta / ln(p/(p+eps))) at 60 digits, from the exact rationals.
+
+    Refuses a quotient within 1e-30 of an integer, where 60 digits could
+    not settle the ceiling.
+    """
+    ratio = as_fraction(p) / (as_fraction(p) + as_fraction(eps))
+    eta = as_fraction(eta)
+    with mpmath.workdps(60):
+        log = lambda q: mpmath.log(q.numerator) - mpmath.log(q.denominator)
+        x = log(eta) / log(ratio)
+        assert abs(x - mpmath.nint(x)) > mpmath.mpf(10) ** -30, "too close to an integer"
+        return max(1, int(mpmath.ceil(x)))
+
+
+# --------------------------------------------------------------------------
 # partitions
 
 

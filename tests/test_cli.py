@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ import certiprob
 from certiprob import cli
 from certiprob.cli import main, parse_alpha, parse_prob
 from certiprob.gems import QuadSurd
+
+from _oracles import lln_alpha_mpmath
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +139,13 @@ class TestSubcommands:
         )
         assert env["result"]["alpha"] == 1
         assert env["result"]["n_bound"] == 2
+
+    @pytest.mark.parametrize("eps", ["1e-7", "1/100000000000000000000"])
+    def test_lln_bernoulli_tiny_eps(self, capsys, eps):
+        # alpha near 1e7 and 1e20: certified by logs, not by powers of the ratio
+        code, env = run_json(capsys, "lln", "bernoulli", "--p", "1/2", "--eps", eps, "--eta", "1/10")
+        assert code == 0
+        assert env["result"]["alpha"] == lln_alpha_mpmath(Fraction(1, 2), parse_prob(eps), Fraction(1, 10))
 
     def test_lln_cantelli(self, capsys):
         _, env = run_json(capsys, "lln", "cantelli", "--eps", "0.1", "--eta", "0.1")
@@ -389,15 +399,6 @@ class TestFloatRefusal:
         assert code == 1
         assert env["error"]["type"] == "ValueError"
         assert env["error"]["message"].startswith("p must lie strictly in (0, 1), got ")
-
-    def test_lln_ratio_rounding_to_one_is_named(self, capsys):
-        code, env = run_json(
-            capsys, "lln", "bernoulli", "--p", "1/2",
-            "--eps", "1/100000000000000000000", "--eta", "1/10",
-        )
-        assert code == 1
-        assert env["error"]["type"] == "ValueError"
-        assert env["error"]["message"].startswith("the float log of p/(p+eps) is 0")
 
     def test_lexis_moments_probability_out_of_range(self, capsys):
         code, env = run_json(capsys, "lexis", "moments", "--n", "5", "--s", "4", "--p", "3/2")

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from certiprob import gems
 from certiprob.gems import (
     Deck,
     QuadSurd,
@@ -42,6 +45,48 @@ CANCELLING_SURDS = [
     QuadSurd(Fraction(-299999999), Fraction(1), 90000000515151261),
     QuadSurd(Fraction(-69999999), Fraction(1), 4900000031784691),
 ]
+
+
+def factorize_by_trial_division(m):
+    """Prime factors of m by trial division to sqrt(m), with no early exit."""
+    factors = {}
+    f = 2
+    while f * f <= m:
+        while m % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            m //= f
+        f += 1 if f == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def shuffle_order_by_trial_division(two_n):
+    """The order of 2 mod 2n+1 from the totient, every factor found by trial division."""
+    m = two_n + 1
+    order = 1
+    for prime, exp in factorize_by_trial_division(m).items():
+        order *= prime ** (exp - 1) * (prime - 1)
+    for prime in factorize_by_trial_division(order):
+        while order % prime == 0 and pow(2, order // prime, m) == 1:
+            order //= prime
+    return order
+
+
+def strong_probable_prime(n, base):
+    """One Miller-Rabin round: does base fail to witness that odd n is composite?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    y = pow(base, d, n)
+    if y in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        y = y * y % n
+        if y == n - 1:
+            return True
+    return False
 
 
 def iterate_until_identity(shuffle, size, cap=10**6):
@@ -97,6 +142,66 @@ class TestPerfectShuffle:
         stats = full_cycle_shuffle_stats(60)
         assert 0 < stats["full_cycle_decks"] <= stats["prime_modulus_decks"]
         assert 52 in stats["sizes"]
+
+
+class TestCertifiedPrime:
+    FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265])
+    def test_refuses_carmichael_numbers(self, n):
+        assert not gems._certified_prime(n)
+
+    @pytest.mark.parametrize("n, first_witness", [
+        (3215031751, 11),  # strong pseudoprime to 2, 3, 5, 7
+        (3825123056546413051, 37),  # to every prime base up to 31
+        (318665857834031151167461, 41),  # to every prime base up to 37
+    ])
+    def test_refuses_strong_pseudoprimes(self, n, first_witness):
+        witnesses = [b for b in self.FIRST_13_PRIMES if not strong_probable_prime(n, b)]
+        assert witnesses[0] == first_witness
+        assert not gems._certified_prime(n)
+
+    def test_accepts_a_mersenne_prime(self):
+        assert gems._certified_prime(2**61 - 1)
+
+    def test_never_certifies_at_or_above_the_bound(self):
+        bound = 3_317_044_064_679_887_385_961_981
+        assert gems._MR_BOUND == bound
+        # the bound is itself a strong pseudoprime to all 13 bases
+        assert all(strong_probable_prime(bound, b) for b in self.FIRST_13_PRIMES)
+        assert not gems._certified_prime(bound)
+        assert not gems._certified_prime(2**89 - 1)  # prime, but past the bound
+
+    def test_matches_trial_division_below_ten_thousand(self):
+        assert not any(map(gems._certified_prime, (-2, -1, 0, 1)))
+        for n in range(2, 10**4):
+            is_prime = factorize_by_trial_division(n) == {n: 1}
+            assert gems._certified_prime(n) == is_prime, n
+
+    def test_factorize_stops_on_a_certified_cofactor(self):
+        big = 2**61 - 1
+        assert gems._factorize(3 * 3 * 7 * big) == {3: 2, 7: 1, big: 1}
+        # a square is never certified: trial division runs to its root
+        assert gems._factorize(2 * 1000003**2) == {2: 1, 1000003: 2}
+
+
+class TestShuffleOrderLarge:
+    def test_matches_trial_division_on_random_decks(self):
+        rng = random.Random(20170)
+        for _ in range(300):
+            two_n = 2 * rng.randrange(1, 5 * 10**8)
+            assert shuffle_order(two_n) == shuffle_order_by_trial_division(two_n), two_n
+
+    @pytest.mark.parametrize("start", [10**11, 3 * 10**11, 7 * 10**11])
+    def test_prime_modulus_order_is_certified(self, start):
+        m = start + 1
+        while factorize_by_trial_division(m) != {m: 1}:
+            m += 2
+        r = shuffle_order(m - 1)
+        assert (m - 1) % r == 0
+        assert pow(2, r, m) == 1
+        for q in factorize_by_trial_division(r):
+            assert pow(2, r // q, m) != 1
 
 
 class TestMongeShuffle:
@@ -240,6 +345,45 @@ class TestBeattySpectra:
         assert all(v <= 500 for v in vals)
 
 
+def exact_floors(alpha, horizon):
+    """floor(n*alpha) <= horizon for n = 1, 2, ..., one exact floor at a time."""
+    if isinstance(alpha, QuadSurd):
+        floor_times = alpha.floor_times
+    else:
+        a = Fraction(alpha)
+        floor_times = lambda n: n * a.numerator // a.denominator
+    out = []
+    n = 1
+    while (v := floor_times(n)) <= horizon:
+        out.append(v)
+        n += 1
+    return out
+
+
+@st.composite
+def floor_alphas(draw):
+    kind = draw(st.sampled_from(["fraction", "float", "dyadic", "surd"]))
+    if kind == "fraction":
+        den = draw(st.integers(1, 1000))
+        return Fraction(draw(st.integers(den + 1, 12 * den)), den)
+    if kind == "float":
+        return draw(st.floats(1.0, 12.0, exclude_min=True))
+    if kind == "dyadic":  # floats whose multiples land on integers
+        return draw(st.integers(1025, 12 * 1024)) / 1024
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 10000000076123709]))
+    y = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    # x puts the value between 1 and about 5
+    x = Fraction(draw(st.integers(1, 4 * 64)), 64) - y * math.isqrt(d)
+    surd = QuadSurd(x, y, d)
+    return surd if float(surd) > 1 else QuadSurd(x + 1 - math.floor(float(surd)), y, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(floor_alphas(), st.one_of(st.integers(1, 1000), st.integers(1000, 10**5)))
+def test_floors_equal_exact_floors(alpha, horizon):
+    assert gems._floors(alpha, horizon).tolist() == exact_floors(alpha, horizon)
+
+
 class TestTripleSpectra:
     def test_pair_plus_anything_fails_fast(self):
         res = triple_spectrum_search(
@@ -301,6 +445,21 @@ class TestPartitions:
         dp = partition_table_dp(120)
         for n in (0, 1, 5, 17, 42, 100, 120):
             assert partition_exact(n) == dp[n]
+
+    def test_grown_in_steps_equals_cold(self):
+        def empty_memo():
+            with gems._PARTITION_LOCK:
+                del gems._PARTITION_CACHE[1:]
+
+        empty_memo()
+        stepped = [partition_exact(n) for n in (10, 700, 1500)]
+        grown = list(gems._PARTITION_CACHE)
+        empty_memo()
+        assert partition_exact(1500) == stepped[-1]
+        assert gems._PARTITION_CACHE == grown
+        dp = partition_table_dp(1500)
+        assert grown == dp
+        assert stepped == [dp[10], dp[700], dp[1500]]
 
     def test_asymptotics_approach_exact(self):
         ratios = []

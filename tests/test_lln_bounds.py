@@ -16,6 +16,8 @@ from certiprob.lln_bounds import (
 )
 from certiprob.numerics import binom_tail_exact
 
+from _oracles import lln_alpha_mpmath
+
 
 def alpha_by_multiplication(p, eps, eta):
     """The defining iteration, as an independent reference."""
@@ -69,6 +71,24 @@ class TestBernoulliAlpha:
                         continue
                     got = bernoulli_alpha(LlnQuery(p, eps, eta))
                     assert got == alpha_by_multiplication(p, eps, eta)
+
+
+class TestBernoulliAlphaSmallEps:
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, Fraction(1, 10**7), Fraction(1, 10**20)])
+    def test_matches_mpmath(self, eps):
+        # alpha runs to 10^5 .. 10^20, past where exact powers are affordable
+        q = LlnQuery(Fraction(1, 2), eps, Fraction(1, 10))
+        assert bernoulli_alpha(q) == lln_alpha_mpmath(q.p, q.eps, q.eta)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 40])
+    def test_eta_an_exact_power_of_the_ratio(self, k):
+        # ratio^k == eta makes ln eta / ln ratio the integer k itself
+        p, eps = Fraction(2, 7), Fraction(1, 7)
+        ratio = p / (p + eps)
+        nudge = Fraction(1, 10**60)
+        assert bernoulli_alpha(LlnQuery(p, eps, ratio**k)) == k
+        assert bernoulli_alpha(LlnQuery(p, eps, ratio**k * (1 + nudge))) == k
+        assert bernoulli_alpha(LlnQuery(p, eps, ratio**k * (1 - nudge))) == k + 1
 
 
 class TestBernoulliNBound:
