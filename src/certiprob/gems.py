@@ -10,7 +10,8 @@ Four loosely related classics, all with exact integer backbones:
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
   three spectra can - witnesses for the failure are searched exhaustively;
-* the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2));
+* the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2)),
+  read off the golden-ratio spectrum;
 * partition counts p(n) by the pentagonal-number recurrence, summed over
   a table of the generalized pentagonal numbers, with the classical
   asymptotic and its sharpened (n - 1/24) refinement.
@@ -69,11 +70,11 @@ def perfect_in_shuffle(deck: Deck) -> Deck:
     The card at position i lands at position 2i mod (2n+1); eight cards
     starting in order end up as (5,1,6,2,7,3,8,4).
     """
-    two_n = deck.size
-    mod = two_n + 1
-    new = [0] * two_n
-    for i in range(1, two_n + 1):
-        new[(2 * i) % mod - 1] = deck.order[i - 1]
+    order = deck.order
+    n = deck.size // 2
+    new = [0] * deck.size
+    new[0::2] = order[n:]
+    new[1::2] = order[:n]
     return Deck(tuple(new))
 
 
@@ -427,16 +428,15 @@ def triple_spectrum_search(alphas: Sequence[Alpha], horizon: int) -> TripleWitne
 def wythoff_cold(count: int):
     """(0,0) plus the first `count` cold pairs (floor(n*phi), floor(n*phi^2)).
 
-    floor(n*phi) = (n + isqrt(5 n^2)) // 2 exactly, and the second
-    coordinate is the first plus n.
+    The first coordinates are the certified golden-ratio spectrum up to
+    floor(count*phi), which holds exactly `count` floors as they increase
+    strictly; the second coordinate is the first plus n.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    pairs = [(0, 0)]
-    for n in range(1, count + 1):
-        a = (n + math.isqrt(5 * n * n)) // 2
-        pairs.append((a, a + n))
-    return pairs
+    phi = QuadSurd.golden()
+    firsts = _floors(phi, phi.floor_times(count)).tolist()
+    return [(0, 0)] + [(a, a + n) for n, a in enumerate(firsts, 1)]
 
 
 # --------------------------------------------------------------------------

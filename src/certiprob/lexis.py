@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import _check_p, log_binom_pmf
+from .numerics import _as_fraction, _check_p, _pmf_terms
 
 
 class Regime(enum.Enum):
@@ -200,7 +200,7 @@ def moments_Q_hat(n: int, s: int, p):
     bound1 = 2N(N-n)/[(n-1)(N-2)(N-3)] (drop the sub-unit sum), and
     bound2 = 2/(n-1) present only when n >= 5, else None.  Fraction p
     gives exact rational output; float p takes the binomial weights from
-    log_binom_pmf, so no factor overflows at large N.
+    numerics._pmf_terms, so no factor overflows at large N.
     """
     if n < 2 or s < 1:
         raise ValueError(f"need n >= 2 and s >= 1, got n={n}, s={s}")
@@ -209,27 +209,19 @@ def moments_Q_hat(n: int, s: int, p):
         raise ValueError(f"need N = n*s >= 4 (bound denominators), got N={N}")
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    q = 1 - p
-    exact = isinstance(p, (Fraction, int))
-    front = (
-        Fraction(2 * N * (N - n), (n - 1) * (N - 2) * (N - 3))
-        if exact
-        else 2 * N * (N - n) / ((n - 1) * (N - 2) * (N - 3))
-    )
-    total = Fraction(0) if exact else 0.0
-    for M in range(1, N):
-        if exact:
-            w = math.comb(N, M) * p**M * q ** (N - M)
-            total += Fraction(M - 1, M) * Fraction(N - M - 1, N - M) * w
-        else:
-            # p = 0 or 1 puts no weight on 0 < M < N
-            w = 0.0 if p in (0, 1) else math.exp(log_binom_pmf(N, M, p))
-            total += (M - 1) / M * (N - M - 1) / (N - M) * w
-    variance = front * total
-    bound1 = front
-    bound2 = (Fraction(2, n - 1) if exact else 2 / (n - 1)) if n >= 5 else None
-    mean = Fraction(1) if exact else 1.0
-    return mean, variance, bound1, bound2
+    scalar = Fraction if isinstance(p, (Fraction, int)) else float
+    if p in (0, 1):
+        weights = ()  # no weight on 0 < M < N
+    elif scalar is Fraction:
+        weights = (math.comb(N, M) * p**M * (1 - p) ** (N - M) for M in range(1, N))
+    else:
+        weights = _pmf_terms(N, 1, N - 1, _as_fraction(p))
+    total = scalar(0)
+    for M, w in enumerate(weights, 1):
+        total += (M - 1) * (N - M - 1) * w / (M * (N - M))
+    front = scalar(Fraction(2 * N * (N - n), (n - 1) * (N - 2) * (N - 3)))
+    bound2 = scalar(Fraction(2, n - 1)) if n >= 5 else None
+    return scalar(1), front * total, front, bound2
 
 
 def dispersion_report(trials: TrialMatrix, counts: CountVector) -> DispersionReport:

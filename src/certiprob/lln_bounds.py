@@ -45,47 +45,59 @@ class LlnQuery:
 
 
 def _ln_enclosure(q: Fraction, prec: int):
-    """(value, error): ln q from decimal logs of its numerator and
-    denominator at prec digits, |value - ln q| <= error.
+    """(value, error): ln q from the decimal log of q at prec digits,
+    |value - ln q| <= error.
 
-    Decimal.ln rounds correctly, so each log is within half a unit of its
-    last digit, below |log| * 10^(1-prec); the difference is exact.
+    The quotient and its log both round to nearest, in the widest
+    exponent range, so the log is within (0.52 + |log| / 2) * 10^(1-prec).
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = prec
-        logs = [Fraction(decimal.Decimal(v).ln()) for v in (q.numerator, q.denominator)]
-    return logs[0] - logs[1], (abs(logs[0]) + abs(logs[1])) / 10 ** (prec - 1)
+    ctx = decimal.Context(prec, decimal.ROUND_HALF_EVEN, decimal.MIN_EMIN, decimal.MAX_EMAX)
+    log = Fraction(ctx.ln(ctx.divide(q.numerator, q.denominator)))
+    return log, (1 + abs(log)) / 10 ** (prec - 1)
+
+
+def _floor_of(enclose) -> int:
+    """floor(x) for an x that is not an integer.
+
+    enclose(prec) returns (low, high) with low <= x <= high, from decimal
+    logs at prec digits; prec doubles from 32 until the enclosure holds no
+    integer, which it must once its width falls below x's distance to one.
+    """
+    prec = 32
+    while True:
+        low, high = enclose(prec)
+        if math.floor(low) == math.floor(high):
+            return math.floor(low)
+        prec *= 2
 
 
 def bernoulli_alpha(query: LlnQuery) -> int:
     """Least alpha >= 1 with (p/(p+eps))^alpha <= eta, certified exactly.
 
-    alpha = ceil(x) with x = ln eta / ln ratio.  x is enclosed by decimal
-    logs at a precision that doubles until the enclosure holds no integer.
-    x can be an integer K only if ratio^K = eta: ratio = a/b in lowest
-    terms with b >= 2, so b^K must be eta's denominator, and K is at most
-    its bit length.  An enclosure holding a single integer K that small
-    is settled by one exact power instead.
+    alpha = ceil(x) with x = ln eta / ln ratio.  x is an integer K only if
+    ratio^K = eta: ratio = a/b in lowest terms with b >= 2, so b^K must be
+    eta's denominator d, and K = round(ln d / ln b) is the one candidate,
+    settled by one exact power.  Otherwise alpha = floor(x) + 1, with the
+    floor taken from decimal logs by _floor_of.
     """
     p = _as_fraction(query.p)
     eps = _as_fraction(query.eps)
     eta = _as_fraction(query.eta)
     ratio = p / (p + eps)
-    k_max = eta.denominator.bit_length()
-    prec = 32
-    while True:
-        # both logs are negative: x = |ln eta| / |ln ratio| > 0, and high >= 0
+    k = round(math.log(eta.denominator) / math.log(ratio.denominator))
+    if ratio**k == eta:
+        return k
+
+    def enclose(prec):
+        # both logs are negative: x = |ln eta| / |ln ratio| > 0
         log_eta, err_eta = _ln_enclosure(eta, prec)
         log_ratio, err_ratio = _ln_enclosure(ratio, prec)
-        if -log_ratio > err_ratio:
-            low = (-log_eta - err_eta) / (-log_ratio + err_ratio)
-            high = (-log_eta + err_eta) / (-log_ratio - err_ratio)
-            k = math.floor(high)
-            if k < low:  # no integer in [low, high]
-                return k + 1
-            if k - 1 < low and k <= k_max:  # k is the only integer in it
-                return k if ratio**k <= eta else k + 1
-        prec *= 2
+        if -log_ratio <= err_ratio:
+            return 0, 1  # |ln ratio| not yet bounded away from 0
+        return ((-log_eta - err_eta) / (-log_ratio + err_ratio),
+                (-log_eta + err_eta) / (-log_ratio - err_ratio))
+
+    return _floor_of(enclose) + 1
 
 
 def bernoulli_n_bound(query: LlnQuery) -> int:
@@ -132,29 +144,6 @@ def bernoulli_n_bound_two_sided(query: LlnQuery) -> int:
     return max(upper, lower)
 
 
-def _cantelli_floor_exact(eps: Fraction, eta: Fraction) -> int:
-    """floor((2/eps^2) ln(4/(eps^2 eta)) + 2), the log taken in decimal.
-
-    At precision P the quotient is within half a unit of its last digit
-    and Decimal.ln rounds correctly, so the log is within 10^(1-P) (1 + L)
-    of ln r.  P doubles until that interval holds no integer; the value is
-    never an integer (ln of a rational r != 1 is irrational, and r > 4),
-    so the loop ends.
-    """
-    r = 4 / (eps * eps * eta)
-    c = 2 / (eps * eps)
-    prec = 32
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            log = Fraction((decimal.Decimal(r.numerator) / decimal.Decimal(r.denominator)).ln())
-        slack = (1 + log) / 10 ** (prec - 1)
-        low = math.floor(c * (log - slack) + 2)
-        if low == math.floor(c * (log + slack) + 2):
-            return low
-        prec *= 2
-
-
 def cantelli_n(eps, eta) -> int:
     """Smallest integer strictly above (2/eps^2) ln(4/(eps^2 eta)) + 2.
 
@@ -163,13 +152,20 @@ def cantelli_n(eps, eta) -> int:
     infinite-horizon guarantee itself is not desk-checkable; only the
     formula and its monotonicities are tested.
 
-    The value is taken for the exact eps and eta, its floor settled in
-    decimal (_cantelli_floor_exact), so near-integer values cannot round
-    to the wrong side.
+    The value is taken for the exact eps and eta, its floor settled by
+    _floor_of, so near-integer values cannot round to the wrong side; it
+    is never an integer, as ln r is irrational for rational r = 4/(eps^2 eta) > 4.
     """
     if not (0 < eps < 1 and 0 < eta < 1):
         raise ValueError(f"eps and eta must lie strictly in (0, 1), got {eps!r}, {eta!r}")
-    return _cantelli_floor_exact(_as_fraction(eps), _as_fraction(eta)) + 1
+    eps, eta = _as_fraction(eps), _as_fraction(eta)
+    c = 2 / (eps * eps)
+
+    def enclose(prec):
+        log, err = _ln_enclosure(4 / (eps * eps * eta), prec)
+        return c * (log - err) + 2, c * (log + err) + 2
+
+    return _floor_of(enclose) + 1
 
 
 __all__ = [

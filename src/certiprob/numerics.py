@@ -1,4 +1,4 @@
-"""Shared numeric kernel: log-space binomial pmf and the exact tail oracle.
+"""Shared numeric kernel: log binomial pmf, point masses and the tail oracle.
 
 Conventions
 -----------
@@ -15,6 +15,9 @@ deviance terms taken around n*p and n*q, which are formed exactly from
 the rational p and carried as double-double pairs.  Its absolute error is
 at most LOG_PMF_ERROR_ULPS * 2**-53 * max(|log pmf|, 1); the exact-integer
 pmf lives only in the oracle tier (``binom_tail_fraction``).
+
+Float masses over a range of k (``_pmf_terms``: one lead term, then the
+ratio recurrence) serve both the tail oracle and the Lexis variance.
 """
 
 from __future__ import annotations
@@ -177,14 +180,42 @@ def log_binom_pmf(n: int, k: int, p) -> LogProb:
     return min(total, 0.0)
 
 
+def _pmf_terms(n: int, lo: int, hi: int, pf: Fraction) -> list:
+    """Float masses b(k; n, p) for k = lo, lo+1, ..., 1 <= lo <= hi <= n.
+
+    One log_binom_pmf at the mode clamped to [lo, hi], the largest mass
+    there, then the ratio recurrence both ways; the upward sweep stops at
+    its first zero, so masses missing past the list's end are zero.
+    """
+    pflt = float(pf)
+    qflt = float(1 - pf)
+    mode = min(max(int(math.floor((n + 1) * pflt)), lo), hi)
+    t_mode = math.exp(log_binom_pmf(n, mode, pf))
+    if t_mode == 0.0:
+        return []
+    terms = []
+    t = t_mode
+    for k in range(mode, lo, -1):  # downward: k -> k-1
+        t *= k / (n - k + 1) * qflt / pflt
+        terms.append(t)
+    terms.reverse()
+    terms.append(t_mode)
+    t = t_mode
+    for k in range(mode, hi):  # upward: k -> k+1
+        t *= (n - k) / (k + 1) * pflt / qflt
+        terms.append(t)
+        if t == 0.0:
+            break
+    return terms
+
+
 def binom_tail_exact(n: int, l: int, p) -> float:
     """P(S_n > l): the right binomial tail, summed term by term.
 
-    This is the oracle the bracketing machinery is tested against.  Terms
-    are generated by the pmf ratio recurrence started at the largest term
-    of the summation range (so underflow of far terms never poisons the
-    start), then totalled with math.fsum, which is exact for floats and
-    makes the summation order immaterial.
+    This is the oracle the bracketing machinery is tested against.  The
+    terms are the float masses of _pmf_terms over [l+1, n], totalled with
+    math.fsum, which is exact for floats and makes the summation order
+    immaterial.
 
     By convention l > n returns 0.0 (with a TailConventionWarning) and
     l < 0 returns 1.0.
@@ -203,27 +234,7 @@ def binom_tail_exact(n: int, l: int, p) -> float:
         return 1.0
     if l == n:
         return 0.0
-
-    pflt = float(pf)
-    qflt = float(1 - pf)
-    # Largest pmf over k in [l+1, n] sits at the mode clamped to the range.
-    mode = min(max(int(math.floor((n + 1) * pflt)), l + 1), n)
-    t_mode = math.exp(log_binom_pmf(n, mode, pf))
-    if t_mode == 0.0:
-        return 0.0  # whole tail below float underflow
-
-    terms = [t_mode]
-    t = t_mode
-    for k in range(mode, l + 1, -1):  # downward: k -> k-1
-        t *= k / (n - k + 1) * qflt / pflt
-        terms.append(t)
-    t = t_mode
-    for k in range(mode, n):  # upward: k -> k+1
-        t *= (n - k) / (k + 1) * pflt / qflt
-        terms.append(t)
-        if t == 0.0:
-            break
-    return min(math.fsum(terms), 1.0)
+    return min(math.fsum(_pmf_terms(n, l + 1, n, pf)), 1.0)
 
 
 def binom_tail_fraction(n: int, l: int, p) -> Fraction:

@@ -16,7 +16,7 @@ from certiprob.binom_tail import (
     bracket_tail,
     left_tail_bracket,
 )
-from certiprob.numerics import binom_tail_exact
+from certiprob.numerics import LOG_PMF_ERROR_ULPS, binom_tail_exact, log_binom_pmf
 
 from _oracles import lead_term_fraction, tail_fraction_oracle, tail_interval_mpmath
 
@@ -301,6 +301,17 @@ class TestBahadurTail:
             got = bahadur_tail(n, j, p)
             want = binom_tail_exact(n, j - 1, p)
             assert abs(got - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("n, j, p", [(3000, 500, 0.5), (5000, 1000, 0.4), (2000, 100, 0.3)])
+    def test_rescaled_sum_within_lead_term_bound(self, n, j, p):
+        # j far below the mean: the lead term is below 2**-512 and the
+        # partial sums pass 2**512, so the series is rescaled on the way
+        lead_log = log_binom_pmf(n, j, p)
+        assert lead_log < -512 * math.log(2)
+        lo, hi = tail_interval_mpmath(n, j - 1, p)
+        bound = (LOG_PMF_ERROR_ULPS * abs(lead_log) + 16) * 2.0**-53
+        got = bahadur_tail(n, j, p)
+        assert float(lo) * (1 - bound) <= got <= float(hi) * (1 + bound)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,11 @@ class TestPerfectShuffle:
     def test_eight_card_diagram(self):
         assert perfect_in_shuffle(Deck.identity(8)).order == (5, 1, 6, 2, 7, 3, 8, 4)
 
+    def test_card_at_i_lands_at_2i_mod_2n_plus_1(self):
+        for two_n in range(2, 201, 2):
+            order = perfect_in_shuffle(Deck.identity(two_n)).order
+            assert all(order[2 * i % (two_n + 1) - 1] == i for i in range(1, two_n + 1))
+
     def test_two_cards_recycle_in_two(self):
         deck = perfect_in_shuffle(perfect_in_shuffle(Deck.identity(2)))
         assert deck == Deck.identity(2)
@@ -433,6 +438,12 @@ class TestWythoff:
     def test_coordinate_gap(self):
         for n, (a, b) in enumerate(wythoff_cold(30)):
             assert b - a == n
+
+    def test_first_coordinate_by_integer_square_root(self):
+        # floor(n*phi) = (n + isqrt(5 n^2)) // 2, as sqrt(5) n is irrational
+        pairs = wythoff_cold(10**5)
+        assert len(pairs) == 10**5 + 1
+        assert all(a == (n + math.isqrt(5 * n * n)) // 2 for n, (a, _) in enumerate(pairs))
 
 
 class TestPartitions:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certiprob import numerics
 from certiprob.lexis import (
     CountVector,
     Regime,
@@ -222,9 +223,14 @@ class TestValidation:
 
 
 class TestMomentsQHatFloatWeights:
-    def test_large_board_matches_exact(self):
-        # N = 1200: C(N, M) alone overflows a float, the log-space weights do not
+    def test_large_board_matches_exact(self, monkeypatch):
+        # N = 1200: C(N, M) alone overflows a float, the log-space weights do
+        # not; all 1199 come from one lead term and the pmf ratio sweep
+        calls = []
+        lead = numerics.log_binom_pmf
+        monkeypatch.setattr(numerics, "log_binom_pmf", lambda *a: calls.append(a) or lead(*a))
         _, var, _, _ = moments_Q_hat(40, 30, 0.3)
+        assert len(calls) == 1
         _, exact, _, _ = moments_Q_hat(40, 30, Fraction(3, 10))
         assert var == pytest.approx(float(exact), rel=1e-12)
 

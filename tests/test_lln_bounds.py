@@ -32,6 +32,9 @@ def alpha_by_multiplication(p, eps, eta):
 class TestBernoulliAlpha:
     def test_boundary_case(self):
         assert bernoulli_alpha(LlnQuery(0.5, 0.5, 0.5)) == 1  # (1/2)^1 <= 1/2
+        # 3/8 has the denominator of (1/2)^3 but is no power of 1/2
+        assert bernoulli_alpha(LlnQuery(0.5, 0.5, Fraction(3, 8))) == 2
+        assert bernoulli_alpha(LlnQuery(0.5, 0.5, Fraction(1, 8))) == 3
 
     def test_frozen_value(self):
         # iterating (5/6)^a below 0.01 takes 26 steps

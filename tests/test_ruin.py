@@ -205,6 +205,20 @@ class TestRootEquation:
             want = (-1) ** deg * game.q / game.p
             assert prod == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="Newton polishing from np.roots leaves residuals above 1e-10")
+    def test_high_degree_roots_to_small_backward_error(self):
+        # unpolished np.roots reaches a backward error of 1.2e-13 on all four
+        for alpha, beta, p in ((20, 1, 0.4), (14, 1, 0.3248), (66, 4, 0.33143), (72, 1, 0.47766)):
+            game = RuinGame(alpha, beta, alpha, beta, p)
+            roots = ruin_root_equation(game)
+            deg = alpha + beta
+            assert len(roots) == deg
+            for z in roots:
+                f = p * z**deg - z**alpha + game.q
+                scale = p * abs(z) ** deg + abs(z) ** alpha + game.q
+                assert abs(f) / scale <= 1e-12
+
 
 class TestValidation:
     def test_game_domain(self):
