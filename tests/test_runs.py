@@ -1,8 +1,22 @@
-"""Run probabilities: four methods against enumeration and each other."""
+"""Run probabilities: four methods against enumeration and each other.
 
+`tests/data/runs_golden.json` holds the outputs of all four methods on
+about 300 seeded (n, r, p) cases, each (n, r, a/d) once with the
+`Fraction` p and once with the float a/d, plus seeded float p, p = 1/2,
+r = 1, r = n and n up to 2000.  `Fraction`s are stored as "num/den",
+floats as `float.hex`, and a call that raises as its exception's name.
+Every replay must agree bit for bit.
+
+`python tests/test_runs.py` rebuilds the file from the same seeded case
+list; run it only on code whose outputs are known to be right.
+"""
+
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,3 +179,99 @@ def test_float_paths_match_the_exact_oracle(case):
     spec = RunSpec(n, r, a / 100)
     assert run_prob_recursive(spec) == pytest.approx(want, abs=1e-12)
     assert run_prob_demoivre(spec) == pytest.approx(want, abs=1e-12)
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "runs_golden.json"
+METHODS = {
+    "recursive": run_prob_recursive,
+    "beta": run_prob_beta,
+    "demoivre": run_prob_demoivre,
+    "oracle": run_prob_oracle,
+}
+
+
+def _encode(x) -> str:
+    return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x.hex()
+
+
+def _decode_p(s: str):
+    return Fraction(s) if "/" in s else float.fromhex(s)
+
+
+def _outputs(case) -> dict:
+    """Each method's value on one case, encoded, or the name of what it raised."""
+    spec = RunSpec(case["n"], case["r"], _decode_p(case["p"]))
+    out = {}
+    for name, fn in METHODS.items():
+        try:
+            out[name] = _encode(fn(spec))
+        except ArithmeticError as exc:
+            out[name] = type(exc).__name__
+    return out
+
+
+def _golden_cases(rng):
+    """Seeded (n, r, p): rational triples in both types, then float p and edges.
+
+    An exact output has about n * log10(d) digits a side, so d shrinks as
+    n grows to keep the file small; the property tests reach the rest.
+    """
+    out = []
+
+    def add(n, r, p):
+        out.append({"n": n, "r": r, "p": _encode(p)})
+
+    def draw_r(n, pf):
+        if rng.random() < 0.5:
+            # near the length whose run has even odds in n tosses
+            r = round(math.log(n + 1) / -math.log(pf)) + rng.randint(-3, 3)
+        else:
+            r = rng.randint(1, min(n, 40))
+        return min(max(r, 1), n)
+
+    for _ in range(120):
+        n = round(10 ** rng.uniform(0, 3.3))
+        d = round(10 ** rng.uniform(0.3, min(3, 3000 / (n * 2))))
+        p = Fraction(rng.randint(1, d - 1), d)
+        r = draw_r(n, float(p))
+        add(n, r, p)
+        add(n, r, float(p))
+    for _ in range(40):
+        n = round(10 ** rng.uniform(0, 3.3))
+        p = rng.uniform(0.02, 0.98)
+        add(n, draw_r(n, p), p)
+    for n in (1, 2, 3, 7, 40, 300, 1999):
+        for p in (Fraction(1, 2), 0.5, Fraction(1, 3), 0.9):
+            add(n, 1, p)
+            add(n, n, p)
+        add(n, min(n, 4), Fraction(1, 2))
+        add(n, min(n, 4), 0.5)
+    # the float closed form past the float range, with a passing bound
+    add(6232, 13, 0.5127250459522125)
+    add(6232, 13, 0.5)
+    return out
+
+
+def record():
+    cases = [{**c, "want": _outputs(c)} for c in _golden_cases(random.Random(1902))]
+    with GOLDEN_PATH.open("w") as fh:
+        fh.write('{"cases": [\n')
+        fh.write(",\n".join(json.dumps(c) for c in cases))
+        fh.write("\n]}\n")
+    print(f"{len(cases)} cases written to {GOLDEN_PATH}")
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())["cases"] if GOLDEN_PATH.exists() else []
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{c['n']}-{c['r']}-{c['p']}" for c in GOLDEN])
+def test_golden_replay_is_bit_identical(case):
+    assert _outputs(case) == case["want"]
+
+
+def test_golden_is_recorded():
+    assert len(GOLDEN) >= 300
+
+
+if __name__ == "__main__":
+    sys.exit(record())
