@@ -7,24 +7,30 @@ independent p-trials; z_n = 1 - y_n.  The module offers:
 * the closed-form alternating binomial sum read off the generating
   function z(xi) = (1 - p^r xi^r) / (1 - xi + q p^r xi^(r+1)),
 * the eighteenth-century power-series division algorithm (sum the first
-  n - r + 1 coefficients of p^r / (1 - q - cq^2 - ... - c^(r-1)q^r) with
-  c = p/q, expanding in powers of q), and
+  n - r + 1 coefficients of p^r / (1 - q - (p/q)q^2 - ... - (p/q)^(r-1)q^r),
+  expanding in powers of q), and
 * a dynamic program over the trailing run length, the oracle the other
   three are tested against.
 
-All four run in p's own scalar type: Fraction p gives exact results,
-float p float ones.  The closed form alternates in sign, so for float p
-it raises CancellationError when its rounding error bound exceeds
+An exact p = a/d (a Fraction) runs as integer recurrences over d^n:
+each method carries d^t times its state as an exact integer, with
+q = c/d, and builds one Fraction at the end, so no step pays for a gcd.
+A float p runs the same recurrences with (a, c, d) = (p, 1 - p, 1.0) and
+gives float results.  The closed form alternates in sign, so for float
+p it raises CancellationError when its rounding error bound exceeds
 BETA_TOL rather than return a value that cancelled away.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-from .numerics import _check_p
+from .numerics import _as_fraction, _check_p
 
 
 @dataclass(frozen=True)
@@ -41,21 +47,44 @@ class RunSpec:
         _check_p(self.p)
 
 
+def _split(p):
+    """(a, c, d) with p = a/d and q = 1 - p = c/d.
+
+    An exact p gives integers, so each method below carries d^t times its
+    state as an exact integer and divides once at the end.  A float p
+    gives (p, 1 - p, 1.0): there every product with a power of d is
+    exact, so the float operations are the ones the unscaled recurrence
+    would make, in the same order.
+    """
+    if isinstance(p, float):
+        return p, 1 - p, 1.0
+    p = _as_fraction(p)
+    return p.numerator, p.denominator - p.numerator, p.denominator
+
+
+def _ratio(num, den):
+    """num / den: one Fraction for integers, a float division by 1.0 otherwise."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
+
+
 def run_prob_recursive(spec: RunSpec):
     """y_n by forward iteration of z_{m+1} = z_m - q p^r z_{m-r}.
 
     Seed values: z_j = 1 for j < r (too few tosses for any run) and
-    z_r = 1 - p^r (all r tosses must succeed).  O(n) time, O(r) memory.
+    z_r = 1 - p^r (all r tosses must succeed).  It runs on Z_m = d^m z_m,
+    for which Z_{m+1} = d Z_m - c a^r Z_{m-r}.  O(n) steps, O(r) memory.
     """
-    n, r, p = spec.n, spec.r, spec.p
-    q = 1 - p
-    step = q * p**r
-    one = 1 - p * 0  # scalar-typed like p
-    window = deque([one] * r + [one - p**r])  # z_0 .. z_r
-    # window holds z_{m-r} .. z_m; advance m from r to n-1
+    n, r = spec.n, spec.r
+    a, c, d = _split(spec.p)
+    step = c * a**r
+    z = d**r - a**r
+    window = deque([d**j for j in range(r)] + [z], maxlen=r + 1)  # Z_0 .. Z_r
+    # window holds Z_{m-r} .. Z_m = z; advance m from r to n-1
+    push = window.append
     for _ in range(r, n):
-        window.append(window[-1] - step * window.popleft())
-    return 1 - window[-1]
+        z = d * z - step * window[0]
+        push(z)
+    return _ratio(d**n - z, d**n)
 
 
 class CancellationError(ArithmeticError):
@@ -65,6 +94,10 @@ class CancellationError(ArithmeticError):
 # Absolute error allowed to run_prob_beta with float p: the tolerance to
 # which the four methods are required to agree.
 BETA_TOL = 1e-10
+
+# Below this log a term is under half the smallest subnormal, with room
+# for the error of its lgamma estimate, so it rounds to 0.0.
+_LOG_ROUNDS_TO_ZERO = -1080 * math.log(2)
 
 
 def _log_abs_terms(m: int, r: int, log_w: float) -> list:
@@ -76,33 +109,56 @@ def _log_abs_terms(m: int, r: int, log_w: float) -> list:
     ]
 
 
+def _times_power(c: int, w, k: int):
+    """c * w**k: exact for an integer w.
+
+    For a float w it is float(c) * w**k unless float(c) overflows or w**k
+    falls below the normal range; then it is c * w**k in integers, from
+    w's exact binary value, rounded once.
+    """
+    wk = w**k
+    if wk >= sys.float_info.min:  # as every integer w**k is
+        try:
+            return c * wk
+        except OverflowError:
+            pass
+    num, den = w.as_integer_ratio()  # den is a power of two
+    return c * num**k / (1 << k * (den.bit_length() - 1))
+
+
 def run_prob_beta(spec: RunSpec):
     """y_n from the generating-function coefficients in closed form.
 
     z_n = beta(n) - p^r beta(n-r) with
     beta(m) = sum_k (-1)^k C(m - k*r, k) (q p^r)^k, the sum running while
     the binomial is nonzero (k <= m/(r+1), the same cut-off either way).
+    It runs on d^m beta(m) = sum_k (-1)^k C(m - k*r, k) w^k d^(m - k(r+1))
+    with w = c a^r, totalled by Horner in d^(r+1).
 
     For float p the terms can dwarf the result.  To first order, term k
     is off by at most (3k + 3) units of 2^-53 relative (w = q p^r takes
     three roundings and is raised to the k-th power; the power, the
-    binomial's conversion and the product add one each), the running sum
+    binomial's conversion and the product add one each; where the
+    binomial passes the float range or w^k underflows, the term is formed
+    in integers from w and rounded once, 3k + 1 units), the running sum
     adds (K - 1) units of the sum of |terms|, K the number of terms, and
     scaling by p^r and the two final subtractions add three more.  So
     |error| <= (4K + 4) 2^-53 S with S the sum of |terms| of beta(n) and of
     p^r beta(n-r).  The bound is formed in logs before any term is, and
-    above BETA_TOL the function raises CancellationError.
+    above BETA_TOL the function raises CancellationError.  A term whose
+    log puts it below the subnormal range rounds to 0.0 and is skipped.
     """
     n, r, p = spec.n, spec.r, spec.p
-    q = 1 - p
-    w = q * p**r
+    a, c, d = _split(p)
+    w = c * a**r
+    logs = dict.fromkeys((n, n - r))  # an exact term is never skipped
     if isinstance(w, float):
         log_p = math.log(p)
-        log_w = math.log(q) + r * log_p
-        logs = _log_abs_terms(n, r, log_w)
-        logs += [r * log_p + x for x in _log_abs_terms(n - r, r, log_w)]
-        top = max(logs)
-        log_s = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+        log_w = math.log(c) + r * log_p
+        logs = {m: _log_abs_terms(m, r, log_w) for m in (n, n - r)}
+        all_logs = logs[n] + [r * log_p + x for x in logs[n - r]]
+        top = max(all_logs)
+        log_s = top + math.log(math.fsum(math.exp(x - top) for x in all_logs))
         log_bound = math.log(4 * (n // (r + 1) + 1) + 4) - 53 * math.log(2) + log_s
         if log_bound > math.log(BETA_TOL):
             raise CancellationError(
@@ -110,62 +166,64 @@ def run_prob_beta(spec: RunSpec):
                 f"10^{log_bound / math.log(10):.1f} to rounding (> {BETA_TOL:g}); "
                 "pass p as a Fraction or use run_prob_recursive"
             )
+    shift = d ** (r + 1)
 
-    def beta(m):
-        total = 0 * p
-        k = 0
-        while m - k * r >= k:
-            total += (-1) ** k * math.comb(m - k * r, k) * w**k
-            k += 1
-        return total
+    def scaled_beta(m):
+        total, log_t = 0 * w, logs[m]
+        for k in range(m // (r + 1) + 1):
+            total *= shift
+            if log_t is None or log_t[k] > _LOG_ROUNDS_TO_ZERO:
+                total += _times_power((-1) ** k * math.comb(m - k * r, k), w, k)
+        return total * d ** (m % (r + 1))
 
-    z = beta(n) - p**r * beta(n - r)
-    return 1 - z
+    z = scaled_beta(n) - a**r * scaled_beta(n - r)
+    return _ratio(d**n - z, d**n)
 
 
 def run_prob_demoivre(spec: RunSpec):
-    """y_n by series division, in p's own scalar type.
+    """y_n by series division.
 
-    Expands p^r / (1 - sum_{j=1}^{r} c^(j-1) q^j) as a power series in q
-    (c = p/q), i.e. the linear recurrence a_k = sum_j c^(j-1) a_{k-j}, and
-    returns p^r * sum_{k<=n-r} a_k q^k.  It runs on b_k = a_k q^k, for
-    which the recurrence reads b_k = q * sum_{j<=r} p^(j-1) b_{k-j} with
-    b_0 = 1.  Every term is positive, so float p loses nothing to
-    cancellation; Fraction p gives the exact rational.
+    Expands p^r / (1 - sum_{j=1}^{r} (p/q)^(j-1) q^j) as a power series in
+    q, i.e. the linear recurrence a_k = sum_j (p/q)^(j-1) a_{k-j}, and
+    returns p^r * sum_{k<=n-r} a_k q^k.  It runs on B_k = d^k a_k q^k, for
+    which the recurrence reads B_k = sum_{j<=r} c a^(j-1) B_{k-j} with
+    B_0 = 1, over a window of the last r values; the sum is totalled by
+    Horner in d.  Every term is positive, so float p loses nothing to
+    cancellation; an exact p gives the exact rational.
     """
-    n, r, p = spec.n, spec.r, spec.p
-    weights = [(1 - p) * p ** (j - 1) for j in range(1, r + 1)]
-    b = [1 - p * 0]  # b_0 = 1, scalar-typed like p
-    for k in range(1, n - r + 1):
-        b.append(sum(wj * b[k - j] for j, wj in enumerate(weights[:k], 1)))
-    return p**r * sum(b)
+    n, r = spec.n, spec.r
+    a, c, d = _split(spec.p)
+    weights = [c * a ** (j - 1) for j in range(1, r + 1)]
+    window = deque([d**0], maxlen=r)  # B_{k-1}, B_{k-2}, ..., newest first
+    total = d**0  # sum_{i<k} B_i d^(k-1-i)
+    for _ in range(n - r):
+        b = sum(map(mul, weights, window))
+        window.appendleft(b)
+        total = total * d + b
+    return _ratio(a**r * total, d**n)
 
 
 def run_prob_oracle(spec: RunSpec):
     """y_n by dynamic programming over the current trailing run length.
 
-    States 0..r-1 track the run in progress; r is absorbing ("run seen").
-    Exact with Fraction p; the test suite additionally cross-checks this
-    against full 2^n enumeration for small n.
+    States 0..r-1 track the run in progress (after t tosses, those past t
+    are empty and left out); r is absorbing ("run seen").  It carries d^t times each state's probability after t tosses: the
+    run-free states step as s_0 = sum_j c s_j and s_{j+1} = a s_j, the
+    absorbing one as s_r = d s_r + a s_{r-1}.  Exact for an exact p; the
+    test suite additionally cross-checks this against full 2^n
+    enumeration for small n.
     """
-    n, r, p = spec.n, spec.r, spec.p
-    q = 1 - p
-    zero = 0 * p
-    state = [zero] * (r + 1)
-    state[0] = 1 - zero  # probability one, scalar-typed like p
+    n, r = spec.n, spec.r
+    a, c, d = _split(spec.p)
+    run = [d**0]  # trailing run of length 0 .. min(t, r - 1)
+    seen = 0 * a
     for _ in range(n):
-        new = [zero] * (r + 1)
-        new[r] = state[r]
-        for j in range(r):
-            if state[j] == 0:
-                continue
-            new[0] += state[j] * q
-            if j + 1 == r:
-                new[r] += state[j] * p
-            else:
-                new[j + 1] += state[j] * p
-        state = new
-    return state[r]
+        head = sum([c * s for s in run])
+        seen *= d
+        if len(run) == r:
+            seen += a * run.pop()
+        run = [head] + [a * s for s in run]
+    return _ratio(seen, d**n)
 
 
 def gf_series_coefficients(r: int, p, count: int):

@@ -393,6 +393,15 @@ class TestFloatRefusal:
         assert env["error"]["type"] == "CancellationError"
         assert env["result"] is None
 
+    def test_runs_closed_form_past_the_float_range(self, capsys):
+        # a binomial of the closed form passes 1e308; its term does not
+        code, env = run_json(capsys, "runs", "--n", "6232", "--r", "13", "--p", "0.5127250459522125")
+        assert code == 0
+        assert "error" not in env and env["warnings"] == []
+        result = env["result"]
+        assert set(result) == {"recursive", "beta", "demoivre", "oracle"}
+        assert abs(result["beta"] - result["recursive"]) <= 1e-10
+
     @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
     def test_non_finite_p_is_range_error(self, capsys, p):
         code, env = run_json(capsys, "tail", "--n", "10", "--l", "5", f"--p={p}")

@@ -19,10 +19,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certiprob.runs import (
+    BETA_TOL,
     CancellationError,
     RunSpec,
     gf_series_coefficients,
@@ -159,27 +160,62 @@ class TestFloatPaths:
         spec = RunSpec(2000, 3, Fraction(9, 10))
         assert run_prob_beta(spec) == run_prob_oracle(spec)
 
+    @pytest.mark.parametrize("p", [0.5127250459522125, 0.5])
+    def test_closed_form_past_the_float_range(self, p):
+        # the bound passes, but C(m - k*r, k) passes the float range while
+        # w**k underflows, so float(C) * w**k cannot form those terms
+        n, r = 6232, 13
+        assert max(math.comb(n - k * r, k) for k in range(n // (r + 1) + 1)) > 2**1024
+        spec = RunSpec(n, r, p)
+        got = run_prob_beta(spec)
+        assert got == pytest.approx(run_prob_recursive(spec), abs=BETA_TOL)
+        if p == 0.5:
+            exact = run_prob_recursive(RunSpec(n, r, Fraction(1, 2)))
+            assert abs(Fraction(got) - exact) <= BETA_TOL
+
 
 @st.composite
 def run_cases(draw):
     """(n, r, a) for p = a/100 near (1/n)**(1/r), where a run of r turns
-    up in n tosses with odds near even, so y_n sits away from 0 and 1.
-    The exact oracle costs about n*n*r, which caps r at large n."""
-    n = round(10 ** draw(st.floats(1, 3.4)))
-    r = draw(st.integers(1, max(1, min(12, 10**7 // (n * n)))))
+    up in n tosses with odds near even, so y_n sits away from 0 and 1."""
+    n = round(10 ** draw(st.floats(1, 4)))
+    r = draw(st.integers(1, min(n, 30)))
     a = round(100 * n ** (-1 / r)) + draw(st.integers(-5, 5))
     return n, r, min(max(a, 1), 99)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(run_cases())
+@example((10**4, 30, 74))
 def test_float_paths_match_the_exact_oracle(case):
     n, r, a = case
     want = float(run_prob_oracle(RunSpec(n, r, Fraction(a, 100))))
     spec = RunSpec(n, r, a / 100)
     assert run_prob_recursive(spec) == pytest.approx(want, abs=1e-12)
     assert run_prob_demoivre(spec) == pytest.approx(want, abs=1e-12)
+    try:
+        beta = run_prob_beta(spec)
+    except CancellationError:
+        return
+    assert beta == pytest.approx(want, abs=BETA_TOL)
 
+
+@st.composite
+def exact_cases(draw):
+    """(n, r, p): p a fraction with denominator up to 1000, n up to 3000."""
+    d = draw(st.integers(2, 1000))
+    n = round(10 ** draw(st.floats(0, math.log10(3000))))
+    return n, draw(st.integers(1, min(n, 40))), Fraction(draw(st.integers(1, d - 1)), d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exact_cases())
+def test_exact_methods_agree_exactly(case):
+    spec = RunSpec(*case)
+    want = run_prob_oracle(spec)
+    assert isinstance(want, Fraction) and 0 <= want <= 1
+    for fn in (run_prob_recursive, run_prob_beta, run_prob_demoivre):
+        assert fn(spec) == want
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runs_golden.json"
 METHODS = {
