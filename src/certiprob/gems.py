@@ -4,8 +4,9 @@ Four loosely related classics, all with exact integer backbones:
 
 * perfect in-shuffles move card i to position 2i mod (2n+1), so the
   recycling count of a 2n-card deck is the multiplicative order of 2
-  modulo 2n+1, found from a trial-division factorization that stops at a
-  cofactor certified prime by deterministic Miller-Rabin; the over-under
+  modulo 2n+1, found from a factorization by trial division and Brent's
+  rho whose every factor is certified prime by deterministic Miller-Rabin
+  or by trial division to its square root; the over-under
   (Monge) shuffle gets the same treatment by brute permutation analysis;
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -122,31 +124,92 @@ def _certified_prime(x: int) -> bool:
     return True
 
 
-def _factorize(m: int) -> dict:
-    """Trial-division factorization that stops at a certified prime.
+# trial division runs below this before Brent's rho takes over
+_TRIAL_LIMIT = 1024
+# modular products between gcds in Brent's rho
+_RHO_BATCH = 128
 
-    The cofactor is tested by _certified_prime at the start and after
-    each prime factor is divided out; once it is certified, it is the
-    last factor.  Below Sorenson and Webster's bound of about 3.3e24 a
-    prime modulus costs 13 modular powers instead of sqrt(m)/2 trial
-    divisions; at or above it no cofactor is certified and trial division
-    runs to the square root, so no factor ever rests on a probable-prime
-    test.
+
+def _brent_rho(n: int):
+    """A proper divisor of the composite n with no factor below
+    _TRIAL_LIMIT, by Brent's variant of Pollard's rho on y -> y^2 + c;
+    None if c = 1 .. 8 all fail (each then closes its cycle mod n).
     """
-    factors: dict = {}
-    x = m
-    f = 2
+    for c in range(1, 9):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch passed a factor and n itself: step through it
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
+def _least_factor(x: int, f: int) -> int:
+    """Least prime factor of x, by trial division from the odd f up; x
+    has no factor below f."""
+    while f * f <= x:
+        if x % f == 0:
+            return f
+        f += 2
+    return x
+
+
+def _factorize(m: int) -> dict:
+    """Prime factorization with every factor certified.
+
+    Trial division strips the factors below _TRIAL_LIMIT, and stops early
+    once the cofactor is certified.  A cofactor that _certified_prime
+    accepts is prime; below Sorenson and Webster's
+    bound of about 3.3e24 one it rejects is composite, and Brent's rho
+    splits it into two parts checked by multiplication, each factored in
+    turn.  A product of two 1e10 primes then costs about 1e5 rho steps
+    instead of 5e9 trial divisions.  At or above the bound no cofactor is
+    certified, so trial division finds its least factor, and a cofactor
+    with none below its square root is prime by that search; no factor
+    ever rests on a probable-prime test.
+    """
+    factors: Counter = Counter()
+    x, f = m, 2
     done = _certified_prime(x)
-    while not done and f * f <= x:
+    while not done and f < _TRIAL_LIMIT and f * f <= x:
         if x % f == 0:
             while x % f == 0:
-                factors[f] = factors.get(f, 0) + 1
+                factors[f] += 1
                 x //= f
             done = _certified_prime(x)
         f += 1 if f == 2 else 2
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    return factors
+    if done:
+        factors[x] += 1
+    pending = [x] if x > 1 and not done else []
+    while pending:
+        x = pending.pop()
+        if f * f > x or _certified_prime(x):
+            factors[x] += 1
+            continue
+        d = (_brent_rho(x) if x < _MR_BOUND else None) or _least_factor(x, f)
+        if d == x:
+            factors[x] += 1
+            continue
+        if not 1 < d < x or d * (x // d) != x:
+            raise ArithmeticError(f"{d} is not a proper divisor of {x}")
+        pending += [d, x // d]
+    return dict(sorted(factors.items()))
 
 
 def shuffle_order(two_n: int) -> int:

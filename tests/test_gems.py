@@ -186,8 +186,21 @@ class TestCertifiedPrime:
     def test_factorize_stops_on_a_certified_cofactor(self):
         big = 2**61 - 1
         assert gems._factorize(3 * 3 * 7 * big) == {3: 2, 7: 1, big: 1}
-        # a square is never certified: trial division runs to its root
+        # a square is never certified: Brent's rho splits it
         assert gems._factorize(2 * 1000003**2) == {2: 1, 1000003: 2}
+
+    @pytest.mark.parametrize("p, q", [(1000003, 3000017), (10000019, 30000001)])
+    def test_two_large_primes_split_by_rho(self, p, q):
+        # trial division would run to p: 5e6 divisions for the second
+        m = p * q
+        assert gems._factorize(m) == {p: 1, q: 1}
+        r = shuffle_order(m - 1)
+        assert math.lcm(p - 1, q - 1) % r == 0
+        assert pow(2, r, m) == 1
+        divisors = factorize_by_trial_division(p - 1).keys() | factorize_by_trial_division(q - 1).keys()
+        for prime in divisors:
+            if r % prime == 0:
+                assert pow(2, r // prime, m) != 1
 
 
 class TestShuffleOrderLarge:
