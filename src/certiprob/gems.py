@@ -131,9 +131,9 @@ _RHO_BATCH = 128
 
 
 def _brent_rho(n: int):
-    """A proper divisor of the composite n with no factor below
-    _TRIAL_LIMIT, by Brent's variant of Pollard's rho on y -> y^2 + c;
-    None if c = 1 .. 8 all fail (each then closes its cycle mod n).
+    """A proper divisor of the composite n by Brent's variant of Pollard's
+    rho on y -> y^2 + c; None if c = 1 .. 8 all fail (each then closes
+    its cycle mod n).
     """
     for c in range(1, 9):
         y, r, q, g = 2, 1, 1, 1
@@ -175,10 +175,9 @@ def _factorize(m: int) -> dict:
 
     Trial division strips the factors below _TRIAL_LIMIT, and stops early
     once the cofactor is certified.  A cofactor that _certified_prime
-    accepts is prime; below Sorenson and Webster's
-    bound of about 3.3e24 one it rejects is composite, and Brent's rho
-    splits it into two parts checked by multiplication, each factored in
-    turn.  A product of two 1e10 primes then costs about 1e5 rho steps
+    accepts is prime; below Sorenson and Webster's bound of about 3.3e24
+    one it rejects is composite, and Brent's rho splits it into two parts
+    checked by multiplication, each factored in turn.  A product of two 1e10 primes then costs about 1e5 rho steps
     instead of 5e9 trial divisions.  At or above the bound no cofactor is
     certified, so trial division finds its least factor, and a cofactor
     with none below its square root is prime by that search; no factor
@@ -200,15 +199,15 @@ def _factorize(m: int) -> dict:
     while pending:
         x = pending.pop()
         if f * f > x or _certified_prime(x):
-            factors[x] += 1
-            continue
-        d = (_brent_rho(x) if x < _MR_BOUND else None) or _least_factor(x, f)
+            d = x
+        else:
+            d = (_brent_rho(x) if x < _MR_BOUND else None) or _least_factor(x, f)
         if d == x:
             factors[x] += 1
-            continue
-        if not 1 < d < x or d * (x // d) != x:
+        elif 1 < d < x and d * (x // d) == x:
+            pending += [d, x // d]
+        else:
             raise ArithmeticError(f"{d} is not a proper divisor of {x}")
-        pending += [d, x // d]
     return dict(sorted(factors.items()))
 
 

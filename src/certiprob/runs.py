@@ -184,8 +184,8 @@ def run_prob_demoivre(spec: RunSpec):
     """y_n by series division.
 
     Expands p^r / (1 - sum_{j=1}^{r} (p/q)^(j-1) q^j) as a power series in
-    q, i.e. the linear recurrence a_k = sum_j (p/q)^(j-1) a_{k-j}, and
-    returns p^r * sum_{k<=n-r} a_k q^k.  It runs on B_k = d^k a_k q^k, for
+    q, i.e. the linear recurrence u_k = sum_j (p/q)^(j-1) u_{k-j}, and
+    returns p^r * sum_{k<=n-r} u_k q^k.  It runs on B_k = d^k u_k q^k, for
     which the recurrence reads B_k = sum_{j<=r} c a^(j-1) B_{k-j} with
     B_0 = 1, over a window of the last r values; the sum is totalled by
     Horner in d.  Every term is positive, so float p loses nothing to
@@ -207,11 +207,12 @@ def run_prob_oracle(spec: RunSpec):
     """y_n by dynamic programming over the current trailing run length.
 
     States 0..r-1 track the run in progress (after t tosses, those past t
-    are empty and left out); r is absorbing ("run seen").  It carries d^t times each state's probability after t tosses: the
-    run-free states step as s_0 = sum_j c s_j and s_{j+1} = a s_j, the
-    absorbing one as s_r = d s_r + a s_{r-1}.  Exact for an exact p; the
-    test suite additionally cross-checks this against full 2^n
-    enumeration for small n.
+    are empty and left out); r is absorbing ("run seen").  It carries d^t
+    times each state's probability after t tosses: the run-free states
+    step as s_0 = sum_j c s_j and s_{j+1} = a s_j, the absorbing one as
+    s_r = d s_r + a s_{r-1}.  Exact for an exact p; the test suite
+    additionally cross-checks this against full 2^n enumeration for
+    small n.
     """
     n, r = spec.n, spec.r
     a, c, d = _split(spec.p)
