@@ -28,6 +28,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from operator import mul
 
 from .numerics import _as_fraction, _check_p
@@ -72,18 +73,19 @@ def run_prob_recursive(spec: RunSpec):
 
     Seed values: z_j = 1 for j < r (too few tosses for any run) and
     z_r = 1 - p^r (all r tosses must succeed).  It runs on Z_m = d^m z_m,
-    for which Z_{m+1} = d Z_m - c a^r Z_{m-r}.  O(n) steps, O(r) memory.
+    for which Z_{m+1} = d Z_m - c a^r Z_{m-r}, over a ring of the last
+    r + 1 values.  O(n) steps, O(r) memory.
     """
     n, r = spec.n, spec.r
     a, c, d = _split(spec.p)
     step = c * a**r
     z = d**r - a**r
-    window = deque([d**j for j in range(r)] + [z], maxlen=r + 1)  # Z_0 .. Z_r
-    # window holds Z_{m-r} .. Z_m = z; advance m from r to n-1
-    push = window.append
-    for _ in range(r, n):
-        z = d * z - step * window[0]
-        push(z)
+    ring = [d**j for j in range(r)] + [z]  # Z_0 .. Z_r
+    # advance m from r to n-1: Z_{m-r} sits in slot (m - r) mod (r + 1),
+    # and Z_{m+1} takes its place there
+    for i in islice(cycle(range(r + 1)), n - r):
+        z = d * z - step * ring[i]
+        ring[i] = z
     return _ratio(d**n - z, d**n)
 
 
