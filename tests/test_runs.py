@@ -1,9 +1,10 @@
 """Run probabilities: four methods against enumeration and each other.
 
 `tests/data/runs_golden.json` holds the outputs of all four methods on
-about 300 seeded (n, r, p) cases, each (n, r, a/d) once with the
-`Fraction` p and once with the float a/d, plus seeded float p, p = 1/2,
-r = 1, r = n and n up to 2000.  `Fraction`s are stored as "num/den",
+352 seeded (n, r, p) cases, each (n, r, a/d) once with the `Fraction` p
+and once with the float a/d, plus seeded float p, p = 1/2, r = 1, r = n,
+n up to 2000, and two float cases at n = 6232 whose closed form has
+binomials past the float range.  `Fraction`s are stored as "num/den",
 floats as `float.hex`, and a call that raises as its exception's name.
 Every replay must agree bit for bit.
 
@@ -210,12 +211,14 @@ def exact_cases(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(exact_cases())
+@example((3000, 30, Fraction(997, 1000)))
 def test_exact_methods_agree_exactly(case):
     spec = RunSpec(*case)
     want = run_prob_oracle(spec)
     assert isinstance(want, Fraction) and 0 <= want <= 1
     for fn in (run_prob_recursive, run_prob_beta, run_prob_demoivre):
         assert fn(spec) == want
+
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "runs_golden.json"
 METHODS = {
