@@ -97,13 +97,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _certified_prime(x: int) -> bool:
-    """True if x is prime and below _MR_BOUND, where Miller-Rabin to the
-    bases _MR_BASES is deterministic; False for composites and for every
-    x at or above the bound, prime or not.
-    """
-    if x < 2 or x >= _MR_BOUND:
-        return False
+def _strong_probable_prime(x: int) -> bool:
+    """Whether x > 1 is a strong probable prime to every base in
+    _MR_BASES; False proves x composite at any size."""
     for b in _MR_BASES:
         if x % b == 0:
             return x == b
@@ -122,6 +118,13 @@ def _certified_prime(x: int) -> bool:
         else:
             return False
     return True
+
+
+def _certified_prime(x: int) -> bool:
+    """True if x is prime and below _MR_BOUND, where Miller-Rabin to the
+    bases _MR_BASES is deterministic; False for composites and for every
+    x at or above the bound, prime or not."""
+    return 1 < x < _MR_BOUND and _strong_probable_prime(x)
 
 
 # trial division runs below this before Brent's rho takes over
@@ -174,14 +177,13 @@ def _factorize(m: int) -> dict:
     """Prime factorization with every factor certified.
 
     Trial division strips the factors below _TRIAL_LIMIT, and stops early
-    once the cofactor is certified.  A cofactor that _certified_prime
-    accepts is prime; below Sorenson and Webster's bound of about 3.3e24
-    one it rejects is composite, and Brent's rho splits it into two parts
-    checked by multiplication, each factored in turn.  A product of two 1e10 primes then costs about 1e5 rho steps
-    instead of 5e9 trial divisions.  At or above the bound no cofactor is
-    certified, so trial division finds its least factor, and a cofactor
-    with none below its square root is prime by that search; no factor
-    ever rests on a probable-prime test.
+    once the cofactor is certified.  A cofactor that fails a strong
+    probable-prime base is composite at any size, and Brent's rho splits
+    it into two parts checked by multiplication, each factored in turn: a
+    product of two 1e10 primes costs about 1e5 rho steps, not 5e9 trial
+    divisions.  One that passes every base is prime below Sorenson and
+    Webster's bound of about 3.3e24; at or above it, trial division finds
+    its least factor or proves it prime: no factor rests on a probable one.
     """
     factors: Counter = Counter()
     x, f = m, 2
@@ -198,10 +200,11 @@ def _factorize(m: int) -> dict:
     pending = [x] if x > 1 and not done else []
     while pending:
         x = pending.pop()
-        if f * f > x or _certified_prime(x):
+        probable = _strong_probable_prime(x)
+        if f * f > x or (probable and x < _MR_BOUND):
             d = x
         else:
-            d = (_brent_rho(x) if x < _MR_BOUND else None) or _least_factor(x, f)
+            d = (None if probable else _brent_rho(x)) or _least_factor(x, f)
         if d == x:
             factors[x] += 1
         elif 1 < d < x and d * (x // d) == x:

@@ -196,6 +196,13 @@ class TestSubcommands:
         reals = sorted(r["re"] for r in env["result"]["roots"])
         assert reals == pytest.approx([2 / 3, 1.0], abs=1e-10)
 
+    def test_ruin_roots_high_degree(self, capsys):
+        code, env = run_json(
+            capsys, "ruin", "roots", "--alpha", "72", "--beta", "1", "--p", "0.47766"
+        )
+        assert code == 0
+        assert len(env["result"]["roots"]) == 73
+
     def test_bernstein_bound(self, capsys):
         _, env = run_json(
             capsys, "bernstein", "bound", "--b2", "33.333333", "--t", "20",

@@ -202,6 +202,25 @@ class TestCertifiedPrime:
             if r % prime == 0:
                 assert pow(2, r // prime, m) != 1
 
+    def test_composite_past_the_bound_split_by_rho(self, monkeypatch):
+        # m is past _MR_BOUND, but it fails a base, so rho splits it; trial
+        # division toward 2**31 - 1 would take about 1e9 steps
+        primes = (1000003, 2**31 - 1, 2**61 - 1)
+        m = math.prod(primes)
+        assert m > gems._MR_BOUND
+
+        def no_trial_division(x, f):
+            raise AssertionError(f"trial division of {x}")
+
+        monkeypatch.setattr(gems, "_least_factor", no_trial_division)
+        assert gems._factorize(m) == dict.fromkeys(primes, 1)
+        r = shuffle_order(m - 1)
+        assert r == 1891003782
+        assert math.lcm(*(p - 1 for p in primes)) % r == 0
+        assert pow(2, r, m) == 1
+        for prime in factorize_by_trial_division(r):
+            assert pow(2, r // prime, m) != 1
+
 
 class TestShuffleOrderLarge:
     def test_matches_trial_division_on_random_decks(self):

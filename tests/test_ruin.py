@@ -8,8 +8,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certiprob.ruin import (
     RuinGame,
@@ -56,10 +59,11 @@ class TestBoundsFair:
         assert ruin_bounds_fair(game) == (0.5, 0.5)
 
     def test_unfair_game_rejected(self):
-        game = RuinGame(6, 4, 2, 1, 1 / 3)  # q*alpha = 4/3 != p*beta = 1/3
-        assert not game.is_fair
-        with pytest.raises(UnfairGameError):
-            ruin_bounds_fair(game)
+        for p in (1 / 3, Fraction(1, 3)):  # Fraction has no :g format before 3.12
+            game = RuinGame(6, 4, 2, 1, p)  # q*alpha = 4/3 != p*beta = 1/3
+            assert not game.is_fair
+            with pytest.raises(UnfairGameError, match="p\\*beta=0.333333333333333 "):
+                ruin_bounds_fair(game)
 
     def test_bounds_contain_exact_chain(self):
         rng = random.Random(55)
@@ -205,10 +209,8 @@ class TestRootEquation:
             want = (-1) ** deg * game.q / game.p
             assert prod == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                       reason="Newton polishing from np.roots leaves residuals above 1e-10")
     def test_high_degree_roots_to_small_backward_error(self):
-        # unpolished np.roots reaches a backward error of 1.2e-13 on all four
+        # np.roots reaches a backward error of 1.2e-13 on all four
         for alpha, beta, p in ((20, 1, 0.4), (14, 1, 0.3248), (66, 4, 0.33143), (72, 1, 0.47766)):
             game = RuinGame(alpha, beta, alpha, beta, p)
             roots = ruin_root_equation(game)
@@ -218,6 +220,36 @@ class TestRootEquation:
                 f = p * z**deg - z**alpha + game.q
                 scale = p * abs(z) ** deg + abs(z) ** alpha + game.q
                 assert abs(f) / scale <= 1e-12
+
+
+@st.composite
+def root_games(draw):
+    deg = draw(st.integers(2, 90))
+    alpha = draw(st.integers(1, deg - 1))
+    return alpha, deg - alpha, draw(st.floats(0.02, 0.98))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(root_games())
+@example((20, 1, 0.4))
+@example((14, 1, 0.3248))
+@example((66, 4, 0.33143))
+@example((72, 1, 0.47766))
+def test_roots_certified_by_backward_error(stakes):
+    # terms reach |z|^deg ~ 1e23 in the four examples; no absolute residual fits them
+    alpha, beta, p = stakes
+    game = RuinGame(alpha, beta, alpha, beta, p)
+    roots = ruin_root_equation(game)
+    deg = alpha + beta
+    assert len(roots) == deg
+    assert complex(1.0) in roots
+    with mpmath.workdps(30):
+        pm, qm = mpmath.mpf(p), mpmath.mpf(game.q)
+        for z in roots:
+            zm = mpmath.mpc(z)
+            f = pm * zm**deg - zm**alpha + qm
+            scale = pm * abs(zm) ** deg + abs(zm) ** alpha + qm
+            assert abs(f) / scale <= 1e-12, z
 
 
 class TestValidation:
