@@ -32,6 +32,13 @@ term, the recursion and that rounding (see _guard).  convergent_stream
 exposes the same walk; with a Fraction p every convergent comes out as
 an exact rational, which is how the test suite verifies the
 interleaving property and cross-checks the float walk.
+
+p is read once as its exact integer ratio num/den (numerics._p_ratio):
+TailQuery tests l > np as l*den > n*num, the walk's odds p/q is
+num/(den - num) rounded once, left_tail_bracket flips to q = (den - num)/den
+and bahadur_tail's p is num/den rounded once.  No Fraction arithmetic runs
+per query, and bracket_tail, left_tail_bracket and bahadur_tail give the
+same bits for a float p as for the Fraction it stands for.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _as_fraction, _check_p, log_binom_pmf
+from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _p_ratio, log_binom_pmf
 
 # |A| or |B| beyond RESCALE_THRESHOLD triggers a joint rescale by RESCALE,
 # and both below RESCALE one by RESCALE_THRESHOLD (exact in binary
@@ -74,9 +81,14 @@ _BASE_ULPS = 4
 _TINY = sys.float_info.min
 
 
-def _guard(lead_log: float, k: int, kappa: float) -> float:
+def _lead_ulps(lead_log: float) -> float:
+    """The lead term's share of _guard, in units of u."""
+    return LOG_PMF_ERROR_ULPS * max(-lead_log, 1.0)
+
+
+def _guard(lead_ulps: float, k: int, kappa: float) -> float:
     """Relative margin that covers the roundoff of a bracket at depth k."""
-    return _U * (LOG_PMF_ERROR_ULPS * max(-lead_log, 1.0) + _RECURSION_ULPS * (k + kappa) + _BASE_ULPS)
+    return _U * (lead_ulps + _RECURSION_ULPS * (k + kappa) + _BASE_ULPS)
 
 
 class MethodNotApplicableError(ValueError):
@@ -91,8 +103,9 @@ class NumericDegeneracyError(ArithmeticError):
 class TailQuery:
     """A right-tail problem P(S_n > l) for S_n ~ Binomial(n, p).
 
-    Requires 0 <= l < n and l strictly greater than n*p (checked in exact
-    rational arithmetic so borderline float inputs cannot sneak past).
+    Requires 0 <= l < n and l strictly greater than n*p (checked in
+    integers on p's exact ratio, so borderline float inputs cannot sneak
+    past).
     """
 
     n: int
@@ -104,11 +117,11 @@ class TailQuery:
             raise ValueError(f"n must be positive, got {self.n}")
         if not 0 <= self.l < self.n:
             raise ValueError(f"l must lie in [0, n), got l={self.l}, n={self.n}")
-        pf = _check_p(self.p)
-        if self.l <= self.n * pf:
+        num, den = _p_ratio(self.p)
+        if self.l * den <= self.n * num:
             raise MethodNotApplicableError(
                 f"continued-fraction bracketing needs l > n*p "
-                f"(l={self.l}, n*p={float(self.n * pf):g}); for left tails "
+                f"(l={self.l}, n*p={self.n * num / den:g}); for left tails "
                 f"use left_tail_bracket, or binom_tail_exact for a point value"
             )
 
@@ -116,12 +129,6 @@ class TailQuery:
     def k_terminal(self) -> int:
         """Depth at which the continued fraction terminates (D_k = S)."""
         return self.n - self.l - 1
-
-
-def _float_odds(p) -> float:
-    """p/q rounded once: int/int true division rounds correctly."""
-    num, den = (p if isinstance(p, (float, Fraction)) else _as_fraction(p)).as_integer_ratio()
-    return num / (den - num)
 
 
 def _convergents(n: int, l: int, k_cap: int, odds):
@@ -133,24 +140,32 @@ def _convergents(n: int, l: int, k_cap: int, odds):
     A + (-c)*A_prev rounds exactly as A - c*A_prev does.
     """
     exact = isinstance(odds, Fraction)
+    big, small = RESCALE_THRESHOLD, RESCALE
+    nbig, nsmall = -big, -small
     A_prev, A, B_prev, B = 0, 1, 1, 1  # the first coefficient sets the type
+    lm = l + 1  # l + m - 1
     for m in range(2, 2 * k_cap + 2):
         k = m >> 1
+        den = lm * (lm + 1)
+        lm += 1
         if m & 1:
-            coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
+            coeff = k * (n + k) * odds / den
+            kind = "D"
         else:
-            coeff = -((n - k - l) * (l + k) * odds / ((l + m - 1) * (l + m)))
+            coeff = -((n - k - l) * (l + k) * odds / den)
+            kind = "C"
         A_prev, A = A, A + coeff * A_prev
         B_prev, B = B, B + coeff * B_prev
         if not exact:
-            a, b = abs(A), abs(B)
-            big = b if b > a else a
-            if big > RESCALE_THRESHOLD or big < RESCALE:
-                f = RESCALE if big > RESCALE_THRESHOLD else RESCALE_THRESHOLD
-                A, B, A_prev, B_prev = A * f, B * f, A_prev * f, B_prev * f
-        if B == 0:
-            raise NumericDegeneracyError(f"B_{m} = 0")
-        yield k, "D" if m & 1 else "C", A / B
+            if not (nbig <= A <= big and nbig <= B <= big):
+                A, B, A_prev, B_prev = A * small, B * small, A_prev * small, B_prev * small
+            elif nsmall < A < small and nsmall < B < small:
+                A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
+        try:
+            v = A / B
+        except ZeroDivisionError:
+            raise NumericDegeneracyError(f"B_{m} = 0") from None
+        yield k, kind, v
 
 
 def convergent_stream(query: TailQuery):
@@ -160,8 +175,8 @@ def convergent_stream(query: TailQuery):
     rational; with any other p these are the float convergents that
     bracket_tail walks.
     """
-    p = query.p
-    odds = p / (1 - p) if isinstance(p, Fraction) else _float_odds(p)
+    num, den = _p_ratio(query.p)
+    odds = Fraction(num, den - num) if isinstance(query.p, Fraction) else num / (den - num)
     return _convergents(query.n, query.l, query.k_terminal, odds)
 
 
@@ -231,7 +246,9 @@ def bracket_tail(
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     lead_log = log_binom_pmf(n, l + 1, query.p)
     lead = math.exp(lead_log)
-    odds = _float_odds(query.p)
+    lead_ulps = _lead_ulps(lead_log)
+    num, den = _p_ratio(query.p)
+    odds = num / (den - num)  # p/q rounded once: int/int true division rounds correctly
     r = (n - l - 1) * odds / (l + 2)  # b(l+2)/b(l+1), below 1 as l > np
     kappa = min(r / (1.0 - r), k_term) if r < 1.0 else k_term
     hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
@@ -239,7 +256,7 @@ def bracket_tail(
 
     if k_cap < 1:
         # l = n - 1: the tail is the lead term alone.
-        g = _guard(lead_log, 0, kappa)
+        g = _guard(lead_ulps, 0, kappa)
         lower, upper, k_used = lead * (1.0 - g), min(lead * (1.0 + g), 1.0), 0
         lower = lower if lower >= _TINY else 0.0
     else:
@@ -247,7 +264,7 @@ def bracket_tail(
         best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
         for k_used, kind, v in _convergents(n, l, k_cap, odds):
             if kind == "C":
-                g = _guard(lead_log, k_used, kappa)
+                g = _guard(lead_ulps, k_used, kappa)
                 up_f, lo_f = 1.0 + g, 1.0 - g
             if k_used == k_term and kind == "D":
                 best_lo = best_hi = v  # terminal convergent equals S exactly
@@ -282,7 +299,8 @@ def left_tail_bracket(
     bracketable and binom_tail_exact is the tool.  q is exact, and the
     bracket runs in floats like any other.
     """
-    flipped = TailQuery(n=n, l=n - l - 1, p=1 - _as_fraction(p))
+    num, den = _p_ratio(p)
+    flipped = TailQuery(n=n, l=n - l - 1, p=Fraction(den - num, den))
     return bracket_tail(flipped, tol=tol, k_max=k_max)
 
 
@@ -299,31 +317,35 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
     float range when j is far below the mean) and truncated once a term
     drops below 1e-15 of the running sum.  Independent of the
     continued-fraction machinery; agrees with binom_tail_exact(n, j-1, p).
+    n is below 2**53, as for log_binom_pmf.
     """
     if not 1 <= j <= n:
         raise ValueError(f"j must lie in [1, n]=[1, {n}], got {j}")
-    pf = _check_p(p)
-    pflt = float(pf)
-    lead_log = log_binom_pmf(n, j, pf)
+    num, den = _p_ratio(p)
+    pflt = num / den
+    lead_log = log_binom_pmf(n, j, p)
 
+    big, small = RESCALE_THRESHOLD, RESCALE
     total = 1.0
     t = 1.0
     exponent = 0  # running sum is total * 2**exponent
-    k = 0
-    top, bottom = n + 1, j + 1  # n + 1 + k and j + 1 + k
+    # n + 1 + k and j + 1 + k after k terms, kept as floats (exact below
+    # 2**53) so each term is float * float; bottom reaches stop after
+    # max_terms terms.
+    top, bottom = float(n + 1), float(j + 1)
+    stop = float(min(j + 1 + max_terms, 2**53))
     while True:
         t *= pflt * top / bottom
         total += t
-        k += 1
-        top += 1
-        bottom += 1
+        top += 1.0
+        bottom += 1.0
         if t <= 1e-15 * total and pflt * top / bottom < 1.0:
             break
-        if total > RESCALE_THRESHOLD:
-            total *= RESCALE
-            t *= RESCALE
+        if total > big:
+            total *= small
+            t *= small
             exponent += 512
-        if k >= max_terms:
+        if bottom >= stop:
             raise SeriesNotConvergedError(
                 f"series still growing after {max_terms} terms "
                 f"(n={n}, j={j}, p={p!r}); fall back to binom_tail_exact"

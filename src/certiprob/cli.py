@@ -16,7 +16,10 @@ and shared by every later call in the process.
 Exit codes: 0 success, 1 domain/numeric error (structured error envelope
 on stdout) or a failed self-check (`runs --method all` methods that
 disagree: the envelope keeps its result and names the gap in warnings),
-2 usage error (argparse diagnostic on stderr).
+2 usage error (argparse diagnostic on stderr).  JSON has no form for inf
+or nan, so render refuses an envelope that holds one with
+NonFiniteResultError (exit 1), in every format; an error envelope echoes
+such an argument as its repr string.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -108,12 +112,33 @@ def _flatten(prefix, value, out):
         out.append((prefix, value))
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A success envelope would carry inf or nan, which JSON has no form for."""
+
+
+def _non_finite(value) -> bool:
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _refuse_non_finite(rows) -> None:
+    bad = [f"{key} = {val!r}" for key, val in rows if _non_finite(val)]
+    if bad:
+        raise NonFiniteResultError(f"{', '.join(bad)}: an envelope carries only finite numbers")
+
+
 def render(envelope: dict, fmt: str) -> str:
+    """The envelope as text, or NonFiniteResultError if it holds inf or nan."""
     envelope = _plainify(envelope)
-    if fmt == "json":
-        return json.dumps(envelope, indent=2)
     rows: list = []
+    if fmt == "json":
+        try:
+            return json.dumps(envelope, indent=2, allow_nan=False)
+        except ValueError:  # allow_nan=False met an inf or nan
+            _flatten("", envelope, rows)
+            _refuse_non_finite(rows)
+            raise
     _flatten("", envelope, rows)
+    _refuse_non_finite(rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -556,9 +581,10 @@ def main(argv=None) -> int:
         text = render(envelope, args.format)
     except (ValueError, ArithmeticError) as exc:
         # The error envelope echoes the parsed arguments, leaving out the
-        # path, --format, and the global --seed and --tol when not given.
+        # path, --format, and the global --seed and --tol when not given;
+        # an inf or nan argument is echoed as its repr string.
         inputs = {
-            k: v for k, v in vars(args).items()
+            k: repr(v) if _non_finite(v) else v for k, v in vars(args).items()
             if k not in ("cmd", "sub", "format")
             and not (v is None and k in ("seed", "global_tol"))
         }

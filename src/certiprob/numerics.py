@@ -6,7 +6,12 @@ Log-probabilities are plain floats ("LogProb"): the natural log of a value
 in [0, 1], so always <= 0, with -inf standing for probability zero.
 
 Probabilities ``p`` may be passed as ``float`` or ``fractions.Fraction``.
-Floats are interpreted as the exact rationals they represent.
+Floats are interpreted as the exact rationals they represent.  The tail
+code reads p once as that rational's integer ratio (num, den) through
+``_p_ratio`` (``float.as_integer_ratio`` for a float, numerator and
+denominator for a Fraction) and works on the integers from there, so no
+Fraction arithmetic runs per query and a float p and the Fraction it
+stands for give the same bits.
 
 The lead term ``log_binom_pmf`` is Loader's saddle-point form (C. Loader,
 *Fast and Accurate Computation of Binomial Probabilities*, 2000; the
@@ -52,10 +57,21 @@ def _as_fraction(p) -> Fraction:
 
 
 def _check_p(p) -> Fraction:
-    """p as an exact Fraction, once 0 < p < 1 holds (false for nan and +-inf)."""
+    """p as an exact Fraction, once 0 < p < 1 holds."""
+    return Fraction(*_p_ratio(p))
+
+
+def _p_ratio(p) -> tuple:
+    """(num, den) with p = num/den in lowest terms, once 0 < p < 1 holds
+    (false for nan and +-inf).
+
+    Floats and Fractions give their own as_integer_ratio, so the tail code
+    reads p exactly without any Fraction arithmetic; other types go
+    through Fraction.
+    """
     if not (0 < p < 1):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return _as_fraction(p)
+    return (p if isinstance(p, (float, Fraction)) else Fraction(p)).as_integer_ratio()
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15, to 17 digits
@@ -162,8 +178,7 @@ def log_binom_pmf(n: int, k: int, p) -> LogProb:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    pf = _check_p(p)
-    pnum, pden = pf.numerator, pf.denominator
+    pnum, pden = _p_ratio(p)
     qnum = pden - pnum
     if k == 0 or k == n:
         # n ln p or n ln q: log below 1/2, log1p of the complement above

@@ -35,13 +35,20 @@ _FAIRNESS_TOL = 1e-12
 # relative change to (p, -1, q) that makes z exact (Mosier, Math. Comp. 47,
 # 1986).  Companion eigenvalues keep it small (Edelman & Murakami, Math.
 # Comp. 64, 1995): below 70 (d + 1) u, u = 2**-53, in 800 random games of
-# degree 2 to 300, so _ROOT_LEVEL (d + 1) u is accepted.  The float eta is
-# first raised by _EVAL_ULPS (d + 1) u, which bounds its error (first order,
-# Higham ch. 3): CPython's z**n squares and multiplies for n <= 100, within
-# (n - 1) 2 sqrt(2) u, and above that takes |z|**n and the phase n atan2(z),
-# within (2 + 3 pi) n u + 6 u; the rest of eta and a Fraction p add 5 u.
+# degree 2 to 300, so _ROOT_LEVEL (d + 1) u is accepted.  For |z| > 1 the
+# same eta is formed from w = 1/z, dividing through by |z|^d:
+# |p - w^beta + q w^d| / (p + |w|^beta + q |w|^d), where no term exceeds 1,
+# so nothing overflows.  The float eta is first raised by _EVAL_ULPS (d + 1) u,
+# which bounds its error (first order, Higham ch. 3): CPython's z**n squares
+# and multiplies for n <= 100, within (n - 1) 2 sqrt(2) u, and above that
+# takes |z|**n and the phase n atan2(z), within (2 + 3 pi) n u + 6 u; the
+# rest of eta and a Fraction p add 5 u.  fl(1/z) is within 5 u of 1/z
+# (CPython divides by z.r + z.i (z.i/z.r), 3 u, then rounds each part once
+# more, after the ratio's 1 u in the imaginary one), and a relative change
+# delta in w moves eta by at most d |delta|: 5 d u more.  In all at most
+# (7 + 3 pi) d u + 11 u <= 17 (d + 1) u; 20 is taken.
 _ROOT_LEVEL = 128
-_EVAL_ULPS = 16
+_EVAL_ULPS = 20
 
 
 class UnfairGameError(ValueError):
@@ -155,6 +162,8 @@ def ruin_root_equation(game: RuinGame):
     remaining roots found as companion-matrix eigenvalues.  Each root z is
     certified to a backward error |f(z)| / (p|z|^d + |z|^alpha + q) of at
     most 128 (d + 1) 2**-53, d = alpha + beta, or ArithmeticError is raised.
+    For |z| > 1 that ratio is formed at 1/z, so roots far outside the unit
+    circle do not overflow it.
     """
     alpha, beta, p, q = game.alpha, game.beta, float(game.p), float(game.q)
     deg = alpha + beta
@@ -168,7 +177,11 @@ def ruin_root_equation(game: RuinGame):
 
     unit = (deg + 1) * 2.0**-53
     for z in roots:
-        eta = abs(p * z**deg - z**alpha + q) / (p * abs(z) ** deg + abs(z) ** alpha + q)
+        if abs(z) > 1.0:
+            w = 1 / z
+            eta = abs(p - w**beta + q * w**deg) / (p + abs(w) ** beta + q * abs(w) ** deg)
+        else:
+            eta = abs(p * z**deg - z**alpha + q) / (p * abs(z) ** deg + abs(z) ** alpha + q)
         eta += _EVAL_ULPS * unit
         if not eta <= _ROOT_LEVEL * unit:  # a nan eta fails too
             raise ArithmeticError(

@@ -41,6 +41,40 @@ class TestTailQuery:
         with pytest.raises(MethodNotApplicableError):
             TailQuery(10, 3, 0.5)
 
+    def test_integer_mean_test_at_its_edges(self):
+        # l = np and l = np - 1 exactly, with float and Fraction p
+        for n, p in ((10, 0.5), (12, 0.25), (9, Fraction(1, 3)), (7000, Fraction(3, 7))):
+            np_ = int(n * Fraction(p))
+            for l in (np_ - 1, np_):
+                with pytest.raises(MethodNotApplicableError):
+                    TailQuery(n, l, p)
+            assert TailQuery(n, np_ + 1, p).l == np_ + 1
+        # a float p whose n*p rounds to an integer that the exact ratio
+        # stays below (0.7 is 0.69999..., 10 * 0.7 rounds to 7.0) or above
+        # (0.1 is 0.10000...0555, 10 * 0.1 rounds to 1.0)
+        assert TailQuery(10, 7, 0.7).l == 7
+        with pytest.raises(MethodNotApplicableError):
+            TailQuery(10, 1, 0.1)
+
+    def test_integer_mean_test_agrees_with_fractions(self):
+        rng = random.Random(160)
+        for _ in range(2000):
+            n = rng.choice((rng.randint(1, 50), rng.randint(1, 10**7)))
+            p = rng.choice((rng.random(), Fraction(rng.randint(1, 999), 1000),
+                            Fraction(rng.randint(1, 6), 7), 2.0 ** -rng.randint(1, 60)))
+            if not 0 < p < 1:
+                continue
+            mean = n * Fraction(p)
+            for l in {math.floor(mean) + d for d in (-1, 0, 1, 2)}:
+                if not 0 <= l < n:
+                    continue
+                try:
+                    TailQuery(n, l, p)
+                    raised = False
+                except MethodNotApplicableError:
+                    raised = True
+                assert raised == (l <= mean), (n, l, p)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             TailQuery(10, 10, 0.5)

@@ -31,6 +31,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def no_constant(name):
+    """json.loads hook for Infinity, -Infinity and NaN, which RFC 8259 has no form for."""
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestParsers:
     def test_prob_forms(self):
         from fractions import Fraction
@@ -202,6 +207,14 @@ class TestSubcommands:
         )
         assert code == 0
         assert len(env["result"]["roots"]) == 73
+
+    def test_ruin_roots_past_the_float_range(self, capsys):
+        # the largest root is near 100, so |z|^201 is about 1e402
+        code, env = run_json(
+            capsys, "ruin", "roots", "--alpha", "200", "--beta", "1", "--p", "0.01"
+        )
+        assert code == 0
+        assert len(env["result"]["roots"]) == 201
 
     def test_bernstein_bound(self, capsys):
         _, env = run_json(
@@ -415,6 +428,31 @@ class TestFloatRefusal:
         assert code == 1
         assert env["error"]["type"] == "ValueError"
         assert env["error"]["message"].startswith("p must lie strictly in (0, 1), got ")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_non_finite_result_refused(self, capsys, fmt):
+        # partition_uspensky overflows to inf from n = 79,274 on
+        code, out = run_cli(capsys, "partition", "asymptotic", "--n", "1000000", "--format", fmt)
+        assert code == 1
+        assert "NonFiniteResultError" in out
+        assert "result.simple = inf, result.refined = inf" in out
+        assert "Infinity" not in out and "NaN" not in out
+        if fmt == "json":
+            env = json.loads(out, parse_constant=no_constant)
+            assert env["result"] is None
+
+    def test_non_finite_input_refused(self, capsys):
+        code, out = run_cli(capsys, "tail", "--n", "200", "--l", "80", "--p", "0.3", "--tol", "inf")
+        env = json.loads(out, parse_constant=no_constant)
+        assert code == 1
+        assert env["error"]["type"] == "NonFiniteResultError"
+        assert env["inputs"]["tol"] == "inf"
+
+    @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+    def test_non_finite_argument_echoed_as_text(self, capsys, p):
+        code, out = run_cli(capsys, "tail", "--n", "10", "--l", "5", f"--p={p}")
+        assert code == 1
+        assert json.loads(out, parse_constant=no_constant)["inputs"]["p"] == p
 
     def test_lexis_moments_probability_out_of_range(self, capsys):
         code, env = run_json(capsys, "lexis", "moments", "--n", "5", "--s", "4", "--p", "3/2")

@@ -49,3 +49,25 @@ def test_replay_is_byte_identical(case, tmp_path, monkeypatch):
     assert (code, out.getvalue(), err.getvalue()) == (
         case["exit"], case["stdout"], case["stderr"]
     )
+
+
+def test_success_envelopes_are_strict_json(tmp_path, monkeypatch):
+    # json.dumps writes inf and nan as Infinity and NaN, which RFC 8259 has
+    # no form for; every recorded success is rerun in JSON and parsed with
+    # those constants refused
+    monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+    files = {}
+    for name, text in GOLDEN["files"].items():
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+
+    def no_constant(name):
+        raise ValueError(f"{name} in {' '.join(case['argv'])}")
+
+    cases = [c for c in GOLDEN["cases"] if c["exit"] == 0 and not _argparse_text(c)]
+    for case in cases:
+        argv = [str(files[a[1:-1]]) if a.startswith("{") else a for a in case["argv"]]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--format", "json"]) == 0
+        assert isinstance(json.loads(out.getvalue(), parse_constant=no_constant)["result"], dict)

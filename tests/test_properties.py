@@ -9,10 +9,13 @@ import math
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certiprob.binom_tail import TailQuery, _guard, bracket_tail, convergent_stream, left_tail_bracket
+from certiprob.binom_tail import (
+    TailQuery, _guard, _lead_ulps, bahadur_tail, bracket_tail, convergent_stream,
+    left_tail_bracket,
+)
 from certiprob.numerics import LOG_PMF_ERROR_ULPS, log_binom_pmf
 
 from _oracles import log_pmf_mpmath, tail_interval_mpmath
@@ -124,7 +127,7 @@ def stream_brackets(q, k_cap):
             lo = max(lo, v)
         else:
             hi = min(hi, v)
-        g = _guard(lead_log, k, kappa)
+        g = _guard(_lead_ulps(lead_log), k, kappa)
         unclamped = lead * hi * (1.0 + g)
         lower = lead * lo * (1.0 - g)
         yield (lower if lower >= TINY else 0.0), min(unclamped, 1.0), unclamped, k
@@ -204,3 +207,53 @@ def test_unreachable_tol_stops_at_the_narrowest_bracket(case):
     else:
         assert not b.converged and b.k_used <= full.k_used
         assert b.width <= 1.25 * narrowest
+
+
+@st.composite
+def one_path_cases(draw):
+    """(n, l, l_left, p, tol, k_max) with float p and n up to 1e7: l from the
+    far right tail to the mean, l_left as far out on the left."""
+    n = round(10 ** draw(st.floats(1, 7)))
+    p = draw(st.floats(0.001, 0.999))
+    sd = math.sqrt(n * p * (1 - p))
+    z = draw(st.floats(0, 12))
+    l = min(math.floor(n * p + z * sd) + 1, n - 2)
+    l_left = max(math.ceil(n * p - z * sd) - 2, 0)
+    tol = 10 ** draw(st.floats(-15, -2))
+    # a deep cap, or none with a tiny tol, walks far enough to rescale A and B
+    k_max = draw(st.one_of(st.none(), st.integers(1, 60), st.integers(200, 1500)))
+    return n, l, l_left, p, tol, k_max
+
+
+def outcome(f, p):
+    """f(p) with every float in hex, or the type of what it raised."""
+    try:
+        result = f(p)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+    if isinstance(result, float):
+        return result.hex()
+    return (result.lower.hex(), result.upper.hex(), result.k_used,
+            result.lead_term_log.hex(), result.converged)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_path_cases())
+@example((10**7, 3_000_100, 2_999_900, 0.3, 1e-15, None))
+@example((10**4, 3_100, 2_900, 0.3, 1e-14, 1500))
+def test_float_and_fraction_p_take_one_path(case):
+    # p is read once as its exact integer ratio, so a float p and the
+    # Fraction it stands for give the same bits in all three functions
+    n, l, l_left, p, tol, k_max = case
+
+    def right(q):
+        return bracket_tail(TailQuery(n, l, q), tol=tol, k_max=k_max)
+
+    def left(q):
+        return left_tail_bracket(n, l_left, q, tol=tol, k_max=k_max)
+
+    def bahadur(q):
+        return bahadur_tail(n, l + 1, q)
+
+    for f in (right, left, bahadur):
+        assert outcome(f, p) == outcome(f, Fraction(p)), f.__name__

@@ -252,6 +252,24 @@ def test_roots_certified_by_backward_error(stakes):
             assert abs(f) / scale <= 1e-12, z
 
 
+def test_roots_past_the_float_range():
+    # the largest root is near 1/p = 100, so p|z|^201 is about 1e400 and
+    # the backward error is formed at 1/z
+    alpha, beta, p = 200, 1, 0.01
+    game = RuinGame(alpha, beta, alpha, beta, p)
+    roots = ruin_root_equation(game)
+    deg = alpha + beta
+    assert len(roots) == deg
+    assert max(abs(z) for z in roots) > 99
+    with mpmath.workdps(40):
+        pm, qm = mpmath.mpf(p), mpmath.mpf(game.q)
+        for z in roots:
+            zm = mpmath.mpc(z)
+            f = pm * zm**deg - zm**alpha + qm
+            scale = pm * abs(zm) ** deg + abs(zm) ** alpha + qm
+            assert abs(f) / scale <= 128 * (deg + 1) * 2.0**-53, z
+
+
 class TestValidation:
     def test_game_domain(self):
         with pytest.raises(ValueError):
