@@ -15,7 +15,8 @@ Truncating the fraction after a -c_k gives the convergent C_k, after a
 
 so any even-indexed convergent is a certified lower bound for S and any
 odd-indexed one a certified upper bound.  The terminal convergent
-D_{n-l-1} equals S exactly.
+D_{n-l-1} equals S exactly; at l = n - 1 that is D_0 = 1, the lead term
+alone, which bracket_tail walks as its only item.
 
 Convergents are computed by the forward two-term recursion on numerators
 A_m and denominators B_m (no bottom-up restart needed to refine).  In
@@ -33,12 +34,12 @@ exposes the same walk; with a Fraction p every convergent comes out as
 an exact rational, which is how the test suite verifies the
 interleaving property and cross-checks the float walk.
 
-p is read once as its exact integer ratio num/den (numerics._p_ratio):
-TailQuery tests l > np as l*den > n*num, the walk's odds p/q is
-num/(den - num) rounded once, left_tail_bracket flips to q = (den - num)/den
-and bahadur_tail's p is num/den rounded once.  No Fraction arithmetic runs
-per query, and bracket_tail, left_tail_bracket and bahadur_tail give the
-same bits for a float p as for the Fraction it stands for.
+As everywhere in the package, p is read once as its integer ratio
+num/den (numerics._p_ratio): TailQuery tests l > np as l*den > n*num, the
+odds p/q is num/(den - num) rounded once, left_tail_bracket flips to
+q = (den - num)/den and bahadur_tail's p is num/den rounded once.  No
+Fraction arithmetic runs per query, and a float p gives the same bits as
+the Fraction it stands for.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _guard(lead_ulps: float, k: int, kappa: float) -> float:
 
 
 class MethodNotApplicableError(ValueError):
-    """The continued-fraction method needs l > n*p; see left_tail_bracket."""
+    """The continued-fraction method needs l > n*p, or l < n*p - 1 for a left tail."""
 
 
 class NumericDegeneracyError(ArithmeticError):
@@ -211,8 +212,9 @@ def bracket_tail(
     upper - lower <= tol * upper (checked after every new convergent, so a
     run may stop midway through a depth), or at the terminal depth
     n - l - 1 where the last convergent equals the tail exactly, or at
-    k_max, whichever comes first.  converged is True exactly when the
-    returned endpoints meet tol.
+    k_max, whichever comes first; at l = n - 1 that is D_0 = 1, under the
+    depth-0 guard.  converged is True exactly when the returned endpoints
+    meet tol, which must be positive (not nan; inf is allowed).
 
     Without k_max the walk also stops, with converged=False, once tol is
     out of reach and the bracket has closed to its rounding floor.  With
@@ -238,12 +240,12 @@ def bracket_tail(
     one falls below it the walk stops with [0.0, sys.float_info.min] and
     converged=False.
     """
-    if tol <= 0:
+    if not tol > 0:  # false for nan too
         raise ValueError(f"tol must be positive, got {tol}")
     n, l, k_term = query.n, query.l, query.k_terminal
-    k_cap = k_term if k_max is None else min(k_max, k_term)
-    if k_cap < 1 and k_term > 0:
+    if k_max is not None and k_max < 1 <= k_term:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
+    k_cap = k_term if k_max is None else min(k_max, k_term)
     lead_log = log_binom_pmf(n, l + 1, query.p)
     lead = math.exp(lead_log)
     lead_ulps = _lead_ulps(lead_log)
@@ -254,34 +256,32 @@ def bracket_tail(
     hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
     floor = _RECURSION_ULPS * _U  # the guard's growth per depth
 
-    if k_cap < 1:
-        # l = n - 1: the tail is the lead term alone.
-        g = _guard(lead_ulps, 0, kappa)
-        lower, upper, k_used = lead * (1.0 - g), min(lead * (1.0 + g), 1.0), 0
+    best_lo = 0.0  # even side, in S units
+    best_hi = math.inf  # odd side; C_1 or D_0 comes first, so it is finite below
+    g = _guard(lead_ulps, 0, kappa)
+    up_f, lo_f = 1.0 + g, 1.0 - g
+    # l = n - 1 has no coefficients: its walk is the terminal convergent D_0 = 1
+    walk = _convergents(n, l, k_cap, odds) if k_term else ((0, "D", 1.0),)
+    for k_used, kind, v in walk:
+        if kind == "C":
+            g = _guard(lead_ulps, k_used, kappa)
+            up_f, lo_f = 1.0 + g, 1.0 - g
+        if k_used == k_term and kind == "D":
+            best_lo = best_hi = v  # terminal convergent equals S exactly
+        elif k_used & 1:
+            if v < best_hi:
+                best_hi = v
+        elif v > best_lo:
+            best_lo = v
+        upper = lead * best_hi * up_f
+        if upper > 1.0:
+            upper = 1.0
+        lower = lead * best_lo * lo_f
         lower = lower if lower >= _TINY else 0.0
-    else:
-        best_lo = 0.0  # even side, in S units
-        best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
-        for k_used, kind, v in _convergents(n, l, k_cap, odds):
-            if kind == "C":
-                g = _guard(lead_ulps, k_used, kappa)
-                up_f, lo_f = 1.0 + g, 1.0 - g
-            if k_used == k_term and kind == "D":
-                best_lo = best_hi = v  # terminal convergent equals S exactly
-            elif k_used & 1:
-                if v < best_hi:
-                    best_hi = v
-            elif v > best_lo:
-                best_lo = v
-            upper = lead * best_hi * up_f
-            if upper > 1.0:
-                upper = 1.0
-            lower = lead * best_lo * lo_f
-            lower = lower if lower >= _TINY else 0.0
-            if upper - lower <= tol * upper or upper < _TINY:
-                break
-            if g > hopeless and best_hi - best_lo <= floor * (best_hi + best_lo):
-                break  # tol out of reach, and no later depth is narrower
+        if upper - lower <= tol * upper or upper < _TINY:
+            break
+        if g > hopeless and best_hi - best_lo <= floor * (best_hi + best_lo):
+            break  # tol out of reach, and no later depth is narrower
     if upper < _TINY:
         return TailBracket(0.0, _TINY, k_used, lead_log, False)
     return TailBracket(lower, upper, k_used, lead_log, upper - lower <= tol * upper)
@@ -296,10 +296,18 @@ def left_tail_bracket(
     counts failures, S' ~ Binomial(n, q).  The flipped threshold must
     itself clear the flipped mean, which is what the l < n*p - 1 bound
     guarantees; inside the sliver np-1 <= l <= np neither orientation is
-    bracketable and binom_tail_exact is the tool.  q is exact, and the
-    bracket runs in floats like any other.
+    bracketable and binom_tail_exact is the tool.  Both bounds are checked
+    on the caller's l, in integers on p's ratio, before the flip.  q is
+    exact, and the bracket runs in floats like any other.
     """
     num, den = _p_ratio(p)
+    if not 0 <= l < n:
+        raise ValueError(f"l must lie in [0, n), got l={l}, n={n}")
+    if (l + 1) * den >= n * num:
+        raise MethodNotApplicableError(
+            f"left-tail bracketing needs l < n*p - 1 (l={l}, n*p={n * num / den:g}); "
+            f"for right tails use bracket_tail, or binom_tail_exact for a point value"
+        )
     flipped = TailQuery(n=n, l=n - l - 1, p=Fraction(den - num, den))
     return bracket_tail(flipped, tol=tol, k_max=k_max)
 

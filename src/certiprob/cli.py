@@ -88,24 +88,22 @@ def read_matrix_csv(path: str):
 # envelope rendering
 
 
-def _plainify(value):
-    """Envelope-safe scalars: Fractions as strings, tuples as lists."""
+def _leaf(value):
+    """A Fraction as "a/b" text and a complex as {"re", "im"}; json.dumps's default."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (list, tuple)):
-        return [_plainify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plainify(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} has no envelope form")
 
 
 def _flatten(prefix, value, out):
+    if isinstance(value, (Fraction, complex)):
+        value = _leaf(value)
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, out)
     else:
@@ -128,11 +126,10 @@ def _refuse_non_finite(rows) -> None:
 
 def render(envelope: dict, fmt: str) -> str:
     """The envelope as text, or NonFiniteResultError if it holds inf or nan."""
-    envelope = _plainify(envelope)
     rows: list = []
     if fmt == "json":
         try:
-            return json.dumps(envelope, indent=2, allow_nan=False)
+            return json.dumps(envelope, indent=2, allow_nan=False, default=_leaf)
         except ValueError:  # allow_nan=False met an inf or nan
             _flatten("", envelope, rows)
             _refuse_non_finite(rows)

@@ -38,14 +38,15 @@ class BernsteinInput:
     M: Optional[float] = None
 
     def __post_init__(self):
-        if self.B_n_sq <= 0:
+        # each range check is written so that nan fails it
+        if not self.B_n_sq > 0:
             raise ValueError(f"B_n_sq must be positive, got {self.B_n_sq!r}")
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError(f"t must be non-negative, got {self.t!r}")
         if self.c is None and self.M is None:
             raise ValueError("provide c, or M (uniform bound) to set c = M/3")
         if self.M is not None:
-            if self.M <= 0:
+            if not self.M > 0:
                 raise ValueError(f"M must be positive, got {self.M!r}")
             implied = self.M / 3.0
             if self.c is None:
@@ -54,7 +55,7 @@ class BernsteinInput:
                 raise ValueError(
                     f"c={self.c!r} contradicts M={self.M!r} (requires c = M/3)"
                 )
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c!r}")
 
 
@@ -84,11 +85,11 @@ def moment_condition_check(
     """
     if k_max < 3:
         raise ValueError(f"k_max must be at least 3, got {k_max}")
-    if c <= 0:
+    if not c > 0:  # false for nan too
         raise ValueError(f"c must be positive, got {c!r}")
     failures = []
     for j, s2 in enumerate(sigma_sq):
-        if s2 <= 0:
+        if not s2 > 0:
             raise ValueError(f"sigma_sq[{j}] must be positive, got {s2!r}")
         for k in range(3, k_max + 1):
             try:
@@ -98,7 +99,7 @@ def moment_condition_check(
                     f"moment evaluator failed at variable {j}, order {k}"
                 ) from exc
             allowance = math.factorial(k) * (s2 / 2.0) * c ** (k - 2)
-            if mom > allowance:
+            if not mom <= allowance:  # a nan moment fails
                 failures.append((j, k))
     return MomentCheckReport(holds=not failures, failures=tuple(failures))
 
@@ -119,6 +120,8 @@ def mc_abs_sum_tail(
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")
     master = np.random.SeedSequence(seed)
     children = master.spawn(math.ceil(samples / _MC_CHUNK))
     exceed = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import _as_fraction, _check_p, _pmf_terms
+from .numerics import _p_ratio, _pmf_terms
 
 
 class Regime(enum.Enum):
@@ -114,7 +114,7 @@ class DispersionReport:
 
 def dispersion_Q(counts: CountVector, p):
     """Q = sum_i (m_i - s*p)^2 / (N p (1-p))."""
-    _check_p(p)
+    _p_ratio(p)
     s = counts.s
     dev = sum((m - s * p) ** 2 for m in counts.m)
     return dev / (counts.N * p * (1 - p))
@@ -215,7 +215,7 @@ def moments_Q_hat(n: int, s: int, p):
     elif scalar is Fraction:
         weights = (math.comb(N, M) * p**M * (1 - p) ** (N - M) for M in range(1, N))
     else:
-        weights = _pmf_terms(N, 1, N - 1, _as_fraction(p))
+        weights = _pmf_terms(N, 1, N - 1, p)
     total = scalar(0)
     for M, w in enumerate(weights, 1):
         total += (M - 1) * (N - M - 1) * w / (M * (N - M))

@@ -6,12 +6,13 @@ Log-probabilities are plain floats ("LogProb"): the natural log of a value
 in [0, 1], so always <= 0, with -inf standing for probability zero.
 
 Probabilities ``p`` may be passed as ``float`` or ``fractions.Fraction``.
-Floats are interpreted as the exact rationals they represent.  The tail
-code reads p once as that rational's integer ratio (num, den) through
-``_p_ratio`` (``float.as_integer_ratio`` for a float, numerator and
-denominator for a Fraction) and works on the integers from there, so no
-Fraction arithmetic runs per query and a float p and the Fraction it
-stands for give the same bits.
+Floats are interpreted as the exact rationals they represent.  Every
+module reads p once, through ``_p_ratio``, as that rational's integer
+ratio (num, den) and works on the integers from there, so no float path
+builds a Fraction and a float p and the Fraction it stands for give the
+same bits.  Other rationals go through ``_as_fraction``, which passes a
+Fraction through: ``Fraction()`` takes 1.9 us on one against 0.09 us, and
+slowed a classics ``lln_bounds`` batch from 4.17 to 5.22 ms.
 
 The lead term ``log_binom_pmf`` is Loader's saddle-point form (C. Loader,
 *Fast and Accurate Computation of Binomial Probabilities*, 2000; the
@@ -49,25 +50,20 @@ class TailConventionWarning(UserWarning):
     """Out-of-range threshold handled by convention rather than rejected."""
 
 
-def _as_fraction(p) -> Fraction:
-    """Exact rational value of a probability argument."""
-    if isinstance(p, Fraction):
-        return p
-    return Fraction(p)  # ints and floats convert exactly
-
-
-def _check_p(p) -> Fraction:
-    """p as an exact Fraction, once 0 < p < 1 holds."""
-    return Fraction(*_p_ratio(p))
+def _as_fraction(x) -> Fraction:
+    """Exact rational value of a number; a Fraction passes through."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)  # ints and floats convert exactly
 
 
 def _p_ratio(p) -> tuple:
     """(num, den) with p = num/den in lowest terms, once 0 < p < 1 holds
     (false for nan and +-inf).
 
-    Floats and Fractions give their own as_integer_ratio, so the tail code
-    reads p exactly without any Fraction arithmetic; other types go
-    through Fraction.
+    Floats and Fractions give their own as_integer_ratio, so p is read
+    exactly without any Fraction arithmetic; other types go through
+    Fraction.
     """
     if not (0 < p < 1):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
@@ -195,17 +191,18 @@ def log_binom_pmf(n: int, k: int, p) -> LogProb:
     return min(total, 0.0)
 
 
-def _pmf_terms(n: int, lo: int, hi: int, pf: Fraction) -> list:
+def _pmf_terms(n: int, lo: int, hi: int, p) -> list:
     """Float masses b(k; n, p) for k = lo, lo+1, ..., 1 <= lo <= hi <= n.
 
     One log_binom_pmf at the mode clamped to [lo, hi], the largest mass
     there, then the ratio recurrence both ways; the upward sweep stops at
     its first zero, so masses missing past the list's end are zero.
     """
-    pflt = float(pf)
-    qflt = float(1 - pf)
+    num, den = _p_ratio(p)
+    pflt = num / den
+    qflt = (den - num) / den
     mode = min(max(int(math.floor((n + 1) * pflt)), lo), hi)
-    t_mode = math.exp(log_binom_pmf(n, mode, pf))
+    t_mode = math.exp(log_binom_pmf(n, mode, p))
     if t_mode == 0.0:
         return []
     terms = []
@@ -235,7 +232,7 @@ def binom_tail_exact(n: int, l: int, p) -> float:
     By convention l > n returns 0.0 (with a TailConventionWarning) and
     l < 0 returns 1.0.
     """
-    pf = _check_p(p)
+    _p_ratio(p)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if l > n:
@@ -249,7 +246,7 @@ def binom_tail_exact(n: int, l: int, p) -> float:
         return 1.0
     if l == n:
         return 0.0
-    return min(math.fsum(_pmf_terms(n, l + 1, n, pf)), 1.0)
+    return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
 
 
 def binom_tail_fraction(n: int, l: int, p) -> Fraction:
@@ -257,12 +254,11 @@ def binom_tail_fraction(n: int, l: int, p) -> Fraction:
 
     Trusted-oracle tier for tests; practical for n up to a few thousand.
     """
-    pf = _check_p(p)
+    pnum, pden = _p_ratio(p)
     if l >= n:
         return Fraction(0)
     if l < 0:
         return Fraction(1)
-    pnum, pden = pf.numerator, pf.denominator
     qnum = pden - pnum
     total = sum(
         math.comb(n, k) * pnum**k * qnum ** (n - k) for k in range(l + 1, n + 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_p
+from .numerics import _p_ratio
 
 _FAIRNESS_TOL = 1e-12
 
@@ -76,7 +76,7 @@ class RuinGame:
                 f"b >= beta, got a={self.a}, alpha={self.alpha}, "
                 f"b={self.b}, beta={self.beta}"
             )
-        _check_p(self.p)
+        _p_ratio(self.p)
 
     @property
     def q(self) -> float:
@@ -103,6 +103,8 @@ def ruin_bounds_fair(game: RuinGame):
 
 def _absorption_probability(game: RuinGame, tol: float, side: str) -> float:
     """Solve the banded absorption system for the chosen ruin event."""
+    if not math.isfinite(tol):  # a nan or inf tol would pass any residual
+        raise ValueError(f"tol must be finite, got {tol!r}")
     from scipy.linalg import solve_banded  # scipy loads on the first solve only
 
     # float once: a Fraction p would turn p * ndarray into an object array

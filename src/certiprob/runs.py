@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 from operator import mul
 
-from .numerics import _as_fraction, _check_p
+from .numerics import _p_ratio
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RunSpec:
     def __post_init__(self):
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        _check_p(self.p)
+        _p_ratio(self.p)
 
 
 def _split(p):
@@ -53,14 +53,14 @@ def _split(p):
 
     An exact p gives integers, so each method below carries d^t times its
     state as an exact integer and divides once at the end.  A float p
-    gives (p, 1 - p, 1.0): there every product with a power of d is
-    exact, so the float operations are the ones the unscaled recurrence
-    would make, in the same order.
+    gives (p, 1 - p, 1.0), rounded once from its ratio: there every product
+    with a power of d is exact, so the float operations are the ones the
+    unscaled recurrence would make, in the same order.
     """
+    num, den = _p_ratio(p)
     if isinstance(p, float):
-        return p, 1 - p, 1.0
-    p = _as_fraction(p)
-    return p.numerator, p.denominator - p.numerator, p.denominator
+        return num / den, (den - num) / den, 1.0
+    return num, den - num, den
 
 
 def _ratio(num, den):

@@ -304,6 +304,30 @@ class TestBracketTail:
         with pytest.raises(ValueError):
             bracket_tail(TailQuery(10, 6, 0.5), tol=0.0)
 
+    def test_nan_tol_refused_before_the_walk(self):
+        # nan fails no <= test: it once switched off both stops and walked
+        # all 13,899 depths to return converged=False
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            bracket_tail(TailQuery(20000, 6100, 0.3), tol=math.nan)
+        assert bracket_tail(TailQuery(20000, 6100, 0.3), tol=math.inf).converged
+
+    @pytest.mark.parametrize("n, l, p, shown", [
+        (10, 5, 0.3, "l=5, n*p=3"),
+        (10, 4, 0.5, "l=4, n*p=5"),  # l = np - 1 exactly
+        (10, 2, Fraction(3, 10), "l=2, n*p=3"),
+    ])
+    def test_left_tail_names_the_callers_threshold(self, n, l, p, shown):
+        # checked before the flip, so the message is about the caller's l
+        with pytest.raises(MethodNotApplicableError) as info:
+            left_tail_bracket(n, l, p)
+        assert f"needs l < n*p - 1 ({shown})" in str(info.value)
+        assert "binom_tail_exact" in str(info.value)
+
+    @pytest.mark.parametrize("l", [-1, 10, 11])
+    def test_left_tail_threshold_out_of_range(self, l):
+        with pytest.raises(ValueError, match=f"got l={l}, n=10$"):
+            left_tail_bracket(10, l, 0.5)
+
     def test_left_tail_helper(self):
         # P(S_100 <= 20) with p = 0.5: left of the mean; the reference is
         # computed in exact rationals (1 - tail loses every digit in floats)

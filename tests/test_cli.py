@@ -448,6 +448,22 @@ class TestFloatRefusal:
         assert env["error"]["type"] == "NonFiniteResultError"
         assert env["inputs"]["tol"] == "inf"
 
+    def test_nan_tol_refused_before_the_walk(self, capsys):
+        code, out = run_cli(capsys, "tail", "--n", "20000", "--l", "6100", "--p", "0.3", "--tol", "nan")
+        env = json.loads(out, parse_constant=no_constant)
+        assert code == 1
+        assert env["error"] == {"type": "ValueError", "message": "tol must be positive, got nan"}
+        assert env["inputs"]["tol"] == "nan"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_ruin_tol_refused(self, capsys, tol):
+        code, out = run_cli(capsys, "ruin", "exact", "--a", "6", "--b", "4", "--alpha", "2",
+                            "--beta", "3", "--p", "0.55", "--tol", tol)
+        env = json.loads(out, parse_constant=no_constant)
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
+        assert env["error"]["message"] == f"tol must be finite, got {tol}"
+
     @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
     def test_non_finite_argument_echoed_as_text(self, capsys, p):
         code, out = run_cli(capsys, "tail", "--n", "10", "--l", "5", f"--p={p}")

@@ -53,6 +53,32 @@ class TestBernsteinBound:
             BernsteinInput(B_n_sq=1.0, t=1.0)
 
 
+class TestNanRefused:
+    """Each range check is written so that nan fails it."""
+
+    @pytest.mark.parametrize("field", ["B_n_sq", "t", "c", "M"])
+    def test_bernstein_input_field(self, field):
+        fields = {"B_n_sq": 1.0, "t": 1.0, "c": 1 / 3, "M": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BernsteinInput(**fields)
+
+    def test_moment_check_growth_constant(self):
+        with pytest.raises(ValueError, match="c must be positive"):
+            moment_condition_check([1.0], math.nan, lambda j, k: 1e300)
+
+    def test_moment_check_variance(self):
+        with pytest.raises(ValueError, match=r"sigma_sq\[1\] must be positive"):
+            moment_condition_check([1.0, math.nan], 1.0, lambda j, k: 1.0)
+
+    def test_moment_check_nan_moment_fails(self):
+        report = moment_condition_check([1.0], 1.0, lambda j, k: math.nan if k == 4 else 0.0, k_max=5)
+        assert not report.holds and report.failures == ((0, 4),)
+
+    def test_monte_carlo_threshold(self):
+        with pytest.raises(ValueError, match="t must be a number"):
+            mc_abs_sum_tail(3, math.nan, seed=1)
+
+
 class TestMomentCondition:
     def test_two_point_variable(self):
         # |X| = sigma always: sigma^k <= k! sigma^2/2 sigma^(k-2) iff k! >= 2

@@ -151,6 +151,14 @@ class TestExactChain:
             ruin_chain_b_side(game, tol=0.0)  # floor 1e-14
         assert 0 < ruin_exact_chain(game, tol=1e-8) < 1
 
+    @pytest.mark.parametrize("solve", [ruin_exact_chain, ruin_chain_b_side])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_refused(self, solve, tol):
+        # no residual compares greater than nan or inf: the certificate
+        # would be switched off, not checked
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve(RuinGame(6, 4, 2, 3, 0.55), tol=tol)
+
     def test_scipy_loads_on_first_solve_only(self):
         code = (
             "import sys, certiprob, certiprob.cli\n"
