@@ -8,7 +8,10 @@ growth E|X_j^k| <= k! (sigma_j^2 / 2) c^(k-2) for all k >= 3,
 Uniformly bounded variables |X_j| <= M satisfy the moment condition with
 c = M/3.  The module evaluates the bound, checks the moment condition
 against user-supplied absolute moments, and ships a seeded Monte Carlo
-harness for validating the bound empirically.
+harness for validating the bound empirically.  The harness draws in
+blocks of a fixed number of doubles, so its memory does not grow with
+the sample count; the blocks take the same draws in the same order as
+one samples-by-n array would, and every seeded estimate is unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 _C_FROM_M_TOL = 1e-15
 # samples per seeded chunk; a seed's estimate depends on it
 _MC_CHUNK = 20_000
+# doubles per block of Monte Carlo draws; the estimate does not depend on it
+_MC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,15 @@ class BernsteinInput:
 
 
 def bernstein_bound(inp: BernsteinInput) -> float:
-    """2 exp(-t^2 / (2 B_n^2 + 2 c t)); lies in (0, 2], equals 2 at t = 0."""
-    return 2.0 * math.exp(-inp.t**2 / (2.0 * inp.B_n_sq + 2.0 * inp.c * inp.t))
+    """2 exp(-t^2 / (2 B_n^2 + 2 c t)); lies in [0, 2], equals 2 at t = 0
+    and its limit 0 at t = inf."""
+    t = inp.t
+    den = 2.0 * inp.B_n_sq + 2.0 * inp.c * t
+    if t * t < math.inf and den < math.inf:
+        return 2.0 * math.exp(-t**2 / den)
+    # t^2 or c t overflows (t = inf included, where -inf/inf is nan): the
+    # exponent divided through by t stays in range
+    return 2.0 * math.exp(-t / (2.0 * inp.B_n_sq / t + 2.0 * inp.c))
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,10 @@ def mc_abs_sum_tail(
     [-1, 1], the standard bounded zero-mean test bed.  Work is split into
     chunks whose generators are spawned deterministically from the master
     seed, so the estimate is reproducible and chunks could run in parallel
-    without changing it.
+    without changing it.  Each chunk draws its rows in blocks of about
+    _MC_BLOCK doubles, the same draws in the same order as one
+    samples-by-n array and each row summed alike, so memory stays
+    O(block) at any sample count and the estimate is unchanged.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -124,13 +139,15 @@ def mc_abs_sum_tail(
         raise ValueError("t must be a number, got nan")
     master = np.random.SeedSequence(seed)
     children = master.spawn(math.ceil(samples / _MC_CHUNK))
+    rows = max(1, _MC_BLOCK // max(n, 1))  # rows of n = 0 draw nothing
     exceed = 0
     done = 0
     for child in children:
         m = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(child)
-        sums = rng.uniform(-1.0, 1.0, size=(m, n)).sum(axis=1)
-        exceed += int(np.count_nonzero(np.abs(sums) > t))
+        for first in range(0, m, rows):
+            sums = rng.uniform(-1.0, 1.0, size=(min(rows, m - first), n)).sum(axis=1)
+            exceed += int(np.count_nonzero(np.abs(sums) > t))
         done += m
     p_hat = exceed / samples
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)

@@ -10,7 +10,12 @@ Four loosely related classics, all with exact integer backbones:
   (Monge) shuffle gets the same treatment by brute permutation analysis;
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
-  three spectra can - witnesses for the failure are searched exhaustively;
+  three spectra can (Uspensky, 1927) - witnesses for the failure are
+  searched exhaustively.  Both checks count hits in windows of 2^15
+  consecutive integers, so they hold O(window) memory at any horizon, and
+  stop at the first window that settles the answer: a triple's witness or
+  a rational pair's collision usually ends the scan early, while an
+  irrational pair still scans the whole horizon;
 * the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2)),
   read off the golden-ratio spectrum;
 * partition counts p(n) by the pentagonal-number recurrence, summed over
@@ -359,8 +364,13 @@ class QuadSurd:
 Alpha = Union[QuadSurd, Fraction, float]
 
 
-def _floors(alpha: Alpha, horizon: int):
-    """All floor(n*alpha) <= horizon as an integer array, exactly.
+# integers per window of the tiling checks: their arrays hold a window,
+# not the horizon
+_WINDOW = 1 << 15
+
+
+def _floors(alpha: Alpha, horizon: int, start: int = 1):
+    """floor(n*alpha) <= horizon for n = start, start + 1, ..., exactly.
 
     Float multiples are taken as first guesses; the entries too close to
     an integer to trust are recomputed by the exact floor of a QuadSurd,
@@ -369,15 +379,16 @@ def _floors(alpha: Alpha, horizon: int):
     a = float(alpha)
     if a <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
-    count = int(horizon / a) + 2
-    prod = np.arange(1, count + 1, dtype=np.float64)
+    last = int(horizon / a) + 2  # past the last n with floor(n*alpha) <= horizon
+    prod = np.arange(start, last + 1, dtype=np.float64)
     prod *= a
     floors = np.floor(prod)
     prod -= floors  # the fractional part; exact, as prod >= 1
     # float(alpha) is correctly rounded (exact for a float), so fl(n*fl(alpha))
     # lies within about 2u*n*alpha of n*alpha, u = 2**-53; the margin covers
-    # that, and a guess farther than it from every integer has the right floor
-    margin = count * 8e-16 * a
+    # that for the largest n, and a guess farther than it from every integer
+    # has the right floor
+    margin = last * 8e-16 * a
     suspicious = np.nonzero((prod < margin) | (prod > 1 - margin))[0]
     guess = floors.astype(np.int64)
     if isinstance(alpha, QuadSurd):
@@ -386,17 +397,30 @@ def _floors(alpha: Alpha, horizon: int):
         af = _as_fraction(alpha)  # floats convert exactly
         exact_floor = lambda m: m * af.numerator // af.denominator
     for i in suspicious:
-        guess[i] = exact_floor(int(i) + 1)
-    # the floors increase strictly, from 1 up, as n >= 1 and alpha > 1
+        guess[i] = exact_floor(int(i) + start)
+    # the floors increase strictly, as n >= 1 and alpha > 1
     return guess[: np.searchsorted(guess, horizon, side="right")]
 
 
 def _hits(generators: Sequence[Alpha], horizon: int):
-    """How many of the generators' spectra hit each of 1..horizon."""
-    hits = np.zeros(horizon + 1, dtype=np.int64)
-    for g in generators:
-        np.add.at(hits, _floors(g, horizon), 1)
-    return hits[1:]
+    """How many of the generators' spectra hit each of 1..horizon, a window
+    at a time.
+
+    Yields (lo, counts) for consecutive windows of at most _WINDOW
+    integers from 1 up, counts[i] being the hits on lo + i.  Each
+    generator keeps a cursor, its first n whose floor lies past the
+    windows already counted, so a window computes only its own floors
+    (and the few past its edge that _floors' float guesses overshoot).
+    """
+    cursors = [1] * len(generators)
+    for lo in range(1, horizon + 1, _WINDOW):
+        hi = min(lo + _WINDOW - 1, horizon)
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        for k, g in enumerate(generators):
+            floors = _floors(g, hi, cursors[k])
+            cursors[k] += len(floors)
+            counts += np.bincount(floors - lo, minlength=len(counts))
+        yield lo, counts
 
 
 @dataclass(frozen=True)
@@ -434,7 +458,9 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
 
     For irrational alpha > 1 every integer in 1..horizon must be hit by
     exactly one of the two spectra; rational alpha is accepted so the
-    inevitable collision can be observed.
+    inevitable collision can be observed.  The scan stops at the window
+    where both the first missing and the first doubly hit integer are
+    known, so a rational alpha = a/b stops near its numerator a.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -447,17 +473,22 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
         a = _as_fraction(alpha)
         beta = a / (a - 1)
 
-    hits = _hits((alpha, beta), horizon)
-    missing = np.nonzero(hits == 0)[0]
-    doubled = np.nonzero(hits > 1)[0]
+    first_missing = first_double = None
+    for lo, counts in _hits((alpha, beta), horizon):
+        if first_missing is None and (missing := np.flatnonzero(counts == 0)).size:
+            first_missing = lo + int(missing[0])
+        if first_double is None and (doubled := np.flatnonzero(counts > 1)).size:
+            first_double = lo + int(doubled[0])
+        if first_missing is not None and first_double is not None:
+            break
     return BeattyPairReport(
         alpha=alpha,
         beta=beta,
         horizon=horizon,
-        disjoint=doubled.size == 0,
-        covers=missing.size == 0,
-        first_missing=int(missing[0]) + 1 if missing.size else None,
-        first_double=int(doubled[0]) + 1 if doubled.size else None,
+        disjoint=first_double is None,
+        covers=first_missing is None,
+        first_missing=first_missing,
+        first_double=first_double,
     )
 
 
@@ -474,20 +505,18 @@ def triple_spectrum_search(alphas: Sequence[Alpha], horizon: int) -> TripleWitne
     """Smallest integer <= horizon missed or doubly covered by three spectra.
 
     Three spectra can never tile the integers, so a witness exists for
-    every genuine triple; if the horizon is exhausted without one the
-    search reports inconclusive rather than claiming success.
+    every genuine triple; the search returns at the first window that
+    holds one, and if the horizon is exhausted without one it reports
+    inconclusive rather than claiming success.
     """
     if len(alphas) != 3:
         raise ValueError(f"need exactly three generators, got {len(alphas)}")
-    if horizon < 1:
-        return TripleWitness(None, None, True)
-    hits = _hits(alphas, horizon)
-    bad = np.nonzero(hits != 1)[0]
-    if bad.size == 0:
-        return TripleWitness(None, None, True)
-    w = int(bad[0])
-    kind = "missing" if hits[w] == 0 else "double"
-    return TripleWitness(w + 1, kind, False)
+    for lo, counts in _hits(alphas, horizon):
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            w = int(bad[0])
+            return TripleWitness(lo + w, "missing" if counts[w] == 0 else "double", False)
+    return TripleWitness(None, None, True)
 
 
 def wythoff_cold(count: int):

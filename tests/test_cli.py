@@ -448,6 +448,16 @@ class TestFloatRefusal:
         assert env["error"]["type"] == "NonFiniteResultError"
         assert env["inputs"]["tol"] == "inf"
 
+    def test_infinite_threshold_refused_as_input_alone(self, capsys):
+        # the bound itself has the limit 0 at t = inf; only the input is non-finite
+        code, out = run_cli(capsys, "bernstein", "bound", "--b2", "1", "--t", "inf", "--c", "1")
+        env = json.loads(out, parse_constant=no_constant)
+        assert code == 1
+        assert env["error"] == {
+            "type": "NonFiniteResultError",
+            "message": "inputs.t = inf: an envelope carries only finite numbers",
+        }
+
     def test_nan_tol_refused_before_the_walk(self, capsys):
         code, out = run_cli(capsys, "tail", "--n", "20000", "--l", "6100", "--p", "0.3", "--tol", "nan")
         env = json.loads(out, parse_constant=no_constant)

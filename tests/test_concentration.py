@@ -1,9 +1,11 @@
 """Tail bound evaluator, moment checker, and the seeded MC harness."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from certiprob import concentration
 from certiprob.concentration import (
     BernsteinInput,
     bernstein_bound,
@@ -43,6 +45,17 @@ class TestBernsteinBound:
         with pytest.raises(ValueError):
             BernsteinInput(B_n_sq=1.0, t=1.0, c=0.5, M=1.0)
         BernsteinInput(B_n_sq=1.0, t=1.0, c=1 / 3, M=1.0)  # consistent pair is fine
+
+    @pytest.mark.parametrize("growth", [{"c": 1.0}, {"M": 1.0}])
+    def test_infinite_threshold_gives_the_limit(self, growth):
+        # the exponent -t^2 / (2 B_n^2 + 2 c t) is -inf/inf at t = inf
+        assert bernstein_bound(BernsteinInput(B_n_sq=1.0, t=math.inf, **growth)) == 0.0
+
+    def test_overflowing_threshold(self):
+        # t^2 overflows: 4e308 / (2 + 1.6e308) is 2.5
+        inp = BernsteinInput(B_n_sq=1.0, t=2e154, c=4e153)
+        assert bernstein_bound(inp) == pytest.approx(2 * math.exp(-2.5), rel=1e-12)
+        assert bernstein_bound(BernsteinInput(B_n_sq=1.0, t=1e155, M=1.0)) == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -138,3 +151,21 @@ class TestMonteCarloHarness:
         # single uniform(-1,1): P(|X| > 0.5) = 0.5
         p_hat, se = mc_abs_sum_tail(1, 0.5, seed=11, samples=300_000)
         assert p_hat == pytest.approx(0.5, abs=5 * se)
+
+    @pytest.mark.parametrize("block", [1, 7, 90, 10**6])
+    def test_blocks_leave_the_estimate_unchanged(self, monkeypatch, block):
+        # 45,001 samples: two full 20,000-sample chunks and a short one
+        want = mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001)
+        monkeypatch.setattr(concentration, "_MC_BLOCK", block)
+        assert mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001) == want
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # numpy reports its buffers to tracemalloc; a 20,000-sample chunk
+        # of 30 doubles a row would take 4.8 MB
+        tracemalloc.start()
+        try:
+            mc_abs_sum_tail(30, 10.0, seed=1, samples=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -416,9 +417,100 @@ def floor_alphas(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(floor_alphas(), st.one_of(st.integers(1, 1000), st.integers(1000, 10**5)))
-def test_floors_equal_exact_floors(alpha, horizon):
-    assert gems._floors(alpha, horizon).tolist() == exact_floors(alpha, horizon)
+@given(
+    floor_alphas(),
+    st.one_of(st.integers(1, 1000), st.integers(1000, 10**5)),
+    st.one_of(st.integers(2, 50), st.integers(50, 10**5)),
+)
+def test_floors_equal_exact_floors(alpha, horizon, start):
+    want = exact_floors(alpha, horizon)
+    assert gems._floors(alpha, horizon).tolist() == want
+    # from a start index on, past the last floor too
+    assert gems._floors(alpha, horizon, start).tolist() == want[start - 1:]
+
+
+def brute_force_hits(alphas, horizon):
+    """How many of the spectra hit each of 1..horizon, from exact floors."""
+    hits = [0] * (horizon + 1)
+    for a in alphas:
+        for v in exact_floors(a, horizon):
+            hits[v] += 1
+    return hits[1:]
+
+
+def exact_partner(alpha):
+    if isinstance(alpha, QuadSurd):
+        return alpha.pair_partner()
+    a = Fraction(alpha)
+    return a / (a - 1)
+
+
+class TestTilingWindows:
+    """The windowed checks against a tiling counted in one piece, with
+    windows small enough that every report crosses window edges."""
+
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(alpha=floor_alphas(), horizon=st.integers(1, 1500))
+    def test_pair_report(self, window, alpha, horizon):
+        hits = brute_force_hits([alpha, exact_partner(alpha)], horizon)
+        missing = [i + 1 for i, h in enumerate(hits) if h == 0]
+        doubled = [i + 1 for i, h in enumerate(hits) if h > 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gems, "_WINDOW", window)
+            report = beatty_pair_check(alpha, horizon)
+        assert (report.disjoint, report.covers) == (not doubled, not missing)
+        assert report.first_missing == (missing[0] if missing else None)
+        assert report.first_double == (doubled[0] if doubled else None)
+
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        alphas=st.one_of(
+            st.lists(floor_alphas(), min_size=3, max_size=3),
+            # a tiling pair, so that the witness comes from the third
+            st.tuples(
+                floor_alphas().filter(lambda a: isinstance(a, QuadSurd)),
+                st.one_of(floor_alphas(), st.fractions(2, 1500, max_denominator=50)),
+            ).map(lambda pair: [pair[0], pair[0].pair_partner(), pair[1]]),
+        ),
+        horizon=st.integers(1, 1500),
+    )
+    def test_triple_witness(self, window, alphas, horizon):
+        hits = brute_force_hits(alphas, horizon)
+        bad = [i for i, h in enumerate(hits) if h != 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gems, "_WINDOW", window)
+            found = triple_spectrum_search(alphas, horizon)
+        if bad:
+            kind = "missing" if hits[bad[0]] == 0 else "double"
+            assert found == gems.TripleWitness(bad[0] + 1, kind, False)
+        else:
+            assert found == gems.TripleWitness(None, None, True)
+
+    def test_rational_pair_stops_at_its_collision(self, monkeypatch):
+        computed = []
+        floors = gems._floors
+        monkeypatch.setattr(gems, "_floors", lambda *a: computed.append(len(r := floors(*a))) or r)
+        report = beatty_pair_check(Fraction(1681, 1000), 10**6)
+        assert (report.first_missing, report.first_double) == (1680, 1681)
+        # the first window settles both, and each floor in it is computed once
+        assert sum(computed) <= gems._WINDOW
+
+    @pytest.mark.parametrize("check", [
+        lambda: beatty_pair_check(QuadSurd.golden(), 2_000_000),
+        lambda: triple_spectrum_search([QuadSurd.golden(), 2.5, QuadSurd.sqrt(2)], 2_000_000),
+    ], ids=["pair", "triple"])
+    def test_memory_does_not_grow_with_the_horizon(self, check):
+        # numpy reports its buffers to tracemalloc; one array over the
+        # horizon would take 16 MB here
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestTripleSpectra:
