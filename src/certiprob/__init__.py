@@ -54,7 +54,7 @@ from .lexis import (
     moments_Q_hat,
 )
 from .lln_bounds import LlnQuery, bernoulli_alpha, bernoulli_n_bound, cantelli_n
-from .numerics import binom_tail_exact, binom_tail_fraction, log_binom_pmf
+from .numerics import binom_tail_exact, log_binom_pmf
 from .ruin import RuinGame, ruin_bounds_fair, ruin_exact_chain, ruin_root_equation
 from .runs import (
     RunSpec,

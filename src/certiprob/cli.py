@@ -13,9 +13,10 @@ builds every parser from the table and main wraps what the handler
 returns in the envelope.  The parser is built on the first main call
 and shared by every later call in the process.
 
-Exit codes: 0 success, 1 domain/numeric error (structured error envelope
-on stdout) or a failed self-check (`runs --method all` methods that
-disagree: the envelope keeps its result and names the gap in warnings),
+Exit codes: 0 success, 1 domain/numeric error or unreadable input file
+(structured error envelope on stdout) or a failed self-check (`runs
+--method all` methods that disagree: the envelope keeps its result and
+names the gap in warnings),
 2 usage error (argparse diagnostic on stderr).  JSON has no form for inf
 or nan, so render refuses an envelope that holds one with
 NonFiniteResultError (exit 1), in every format; an error envelope echoes
@@ -350,11 +351,20 @@ def _bernstein_mc(args):
     )
 
 
-def _shuffled(args, shuffle):
+def _shuffled(args, shuffle, order_of):
+    """(arrangement, order): the identity deck of args.deck cards after
+    args.times shuffles, and the shuffle's recycling count order_of(deck).
+
+    The deck is back in order after every `order` shuffles, so only
+    times % order of them are dealt: 10^12 shuffles cost at most order.
+    """
     deck = gems.Deck.identity(args.deck)
-    for _ in range(args.times):
+    if args.times < 0:
+        raise ValueError(f"times must be non-negative, got {args.times}")
+    order = order_of(args.deck)
+    for _ in range(args.times % order):
         deck = shuffle(deck)
-    return list(deck.order)
+    return list(deck.order), order
 
 
 def _beatty_pair(args):
@@ -478,12 +488,13 @@ COMMANDS = {
     ("shuffle", "perfect"): (
         None, [_DECK, _TIMES], ["in-shuffle-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
-                   {"arrangement": _shuffled(a, gems.perfect_in_shuffle)}, [])),
+                   {"arrangement": _shuffled(a, gems.perfect_in_shuffle, gems.shuffle_order)[0]},
+                   [])),
     ("shuffle", "monge"): (
         None, [_DECK, _TIMES], ["over-under-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
-                   {"arrangement": _shuffled(a, gems.monge_shuffle),
-                    "order": gems.monge_order(a.deck)}, [])),
+                   dict(zip(("arrangement", "order"),
+                            _shuffled(a, gems.monge_shuffle, gems.monge_order))), [])),
     ("beatty", "pair"): (
         None,
         [_arg("--alpha", required=True, help="phi | phi2 | sqrt:D | quad:x,y,d | number"),
@@ -576,7 +587,7 @@ def main(argv=None) -> int:
                         provenance=list(result if provenance is None else provenance),
                         warnings=warn)
         text = render(envelope, args.format)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         # The error envelope echoes the parsed arguments, leaving out the
         # path, --format, and the global --seed and --tol when not given;
         # an inf or nan argument is echoed as its repr string.

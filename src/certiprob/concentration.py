@@ -133,13 +133,15 @@ def mc_abs_sum_tail(
     samples-by-n array and each row summed alike, so memory stays
     O(block) at any sample count and the estimate is unchanged.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if math.isnan(t):
         raise ValueError("t must be a number, got nan")
     master = np.random.SeedSequence(seed)
     children = master.spawn(math.ceil(samples / _MC_CHUNK))
-    rows = max(1, _MC_BLOCK // max(n, 1))  # rows of n = 0 draw nothing
+    rows = max(1, _MC_BLOCK // n)
     exceed = 0
     done = 0
     for child in children:

@@ -6,8 +6,9 @@ Four loosely related classics, all with exact integer backbones:
   recycling count of a 2n-card deck is the multiplicative order of 2
   modulo 2n+1, found from a factorization by trial division and Brent's
   rho whose every factor is certified prime by deterministic Miller-Rabin
-  or by trial division to its square root; the over-under
-  (Monge) shuffle gets the same treatment by brute permutation analysis;
+  or by trial division to its square root; the over-under (Monge)
+  shuffle restores 2n cards after the least k with 2^k = +-1 modulo
+  4n+1, read off the same order computation for 4n+1;
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
   three spectra can (Uspensky, 1927) - witnesses for the failure are
@@ -36,7 +37,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -239,33 +239,24 @@ def shuffle_order(two_n: int) -> int:
     return order
 
 
-def permutation_order(deck_map) -> int:
-    """Order of a permutation (lcm of its cycle lengths).
-
-    Accepts a Deck or a 0-indexed tuple new_position_of[i].
-    """
-    if isinstance(deck_map, Deck):
-        perm = tuple(c - 1 for c in deck_map.order)
-    else:
-        perm = tuple(deck_map)
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        lengths.append(length)
-    return reduce(math.lcm, lengths, 1)
-
-
 def monge_order(two_n: int) -> int:
-    """Shuffles needed for the over-under shuffle to recycle 2n cards."""
-    return permutation_order(monge_shuffle(Deck.identity(two_n)))
+    """Number of over-under shuffles that restore a 2n-card deck.
+
+    Label position i = 1..2n by i + 2n modulo 4n+1, so the positions
+    carry one label from each pair +-1, ..., +-2n.  One shuffle moves the
+    card at the position labelled x to the one labelled x/2 (from an odd
+    position, dealt under the pile) or -x/2 (from an even one, dealt on
+    top).  After k shuffles the card from x sits at the position labelled
+    +-x/2^k, so the deck is restored exactly when 2^k = +-1 (mod 4n+1).
+    With e the order of 2 modulo 4n+1, found by shuffle_order(4n), the
+    least such k is e/2 when 2^(e/2) = -1 and e otherwise.  No deck is
+    built and no permutation is walked.
+    """
+    if two_n < 2 or two_n % 2 != 0:
+        raise ValueError(f"deck size must be even and positive, got {two_n}")
+    m = 2 * two_n + 1
+    e = shuffle_order(2 * two_n)
+    return e // 2 if pow(2, e // 2, m) == m - 1 else e
 
 
 def full_cycle_shuffle_stats(max_deck: int):
@@ -277,7 +268,7 @@ def full_cycle_shuffle_stats(max_deck: int):
     sizes = []
     for two_n in range(2, max_deck + 1, 2):
         m = two_n + 1
-        if _factorize(m).keys() == {m}:
+        if _certified_prime(m):
             total += 1
             if shuffle_order(two_n) == two_n:
                 hits += 1
@@ -589,8 +580,9 @@ def partition_uspensky(n: int):
               * (1 - sqrt(3) / (pi sqrt(2n - 1/12)))
 
     The refinement shifts n by 1/24 and applies a first correction
-    factor; both values grow past float range around n ~ 3e5, at which
-    point inf is returned (the logs stay finite internally).
+    factor.  Both values pass the float range together: n = 79,273 gives
+    about 8.2e307, and from n = 79,274 on inf is returned (the logs stay
+    finite internally).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -610,7 +602,6 @@ __all__ = [
     "monge_shuffle",
     "shuffle_order",
     "monge_order",
-    "permutation_order",
     "full_cycle_shuffle_stats",
     "QuadSurd",
     "Spectrum",

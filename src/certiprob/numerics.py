@@ -20,7 +20,7 @@ algorithm behind R's ``dbinom``): O(1) float work for any n, with the
 deviance terms taken around n*p and n*q, which are formed exactly from
 the rational p and carried as double-double pairs.  Its absolute error is
 at most LOG_PMF_ERROR_ULPS * 2**-53 * max(|log pmf|, 1); the exact-integer
-pmf lives only in the oracle tier (``binom_tail_fraction``).
+pmf lives only in the test oracles (``tests/_oracles.py``).
 
 Float masses over a range of k (``_pmf_terms``: one lead term, then the
 ratio recurrence) serve both the tail oracle and the Lexis variance.
@@ -248,19 +248,3 @@ def binom_tail_exact(n: int, l: int, p) -> float:
         return 0.0
     return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
 
-
-def binom_tail_fraction(n: int, l: int, p) -> Fraction:
-    """P(S_n > l) as an exact Fraction (big-integer arithmetic).
-
-    Trusted-oracle tier for tests; practical for n up to a few thousand.
-    """
-    pnum, pden = _p_ratio(p)
-    if l >= n:
-        return Fraction(0)
-    if l < 0:
-        return Fraction(1)
-    qnum = pden - pnum
-    total = sum(
-        math.comb(n, k) * pnum**k * qnum ** (n - k) for k in range(l + 1, n + 1)
-    )
-    return Fraction(total, pden**n)

@@ -134,6 +134,38 @@ class TestSubcommands:
         _, env = run_json(capsys, "shuffle", "perfect", "--deck", "8")
         assert env["result"]["arrangement"] == [5, 1, 6, 2, 7, 3, 8, 4]
 
+    @pytest.mark.parametrize("kind, shuffle", [
+        ("perfect", "perfect_in_shuffle"), ("monge", "monge_shuffle")])
+    def test_shuffle_count_reduced_modulo_the_order(self, capsys, monkeypatch, kind, shuffle):
+        # 16 cards recycle after 8 in-shuffles and after 5 over-under
+        # shuffles, both divisors of 10^12
+        _, want = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", "3")
+        dealt = getattr(cli.gems, shuffle)
+        calls = []
+
+        def counted(deck):
+            calls.append(None)
+            if len(calls) > 100:
+                raise AssertionError("more than 100 shuffles dealt")
+            return dealt(deck)
+
+        monkeypatch.setattr(cli.gems, shuffle, counted)
+        code, env = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", str(10**12 + 3))
+        assert code == 0
+        assert env["inputs"]["times"] == 10**12 + 3
+        assert env["result"] == want["result"]
+
+    @pytest.mark.parametrize("kind", ["perfect", "monge"])
+    def test_negative_shuffle_count_refused(self, capsys, kind):
+        code, env = run_json(capsys, "shuffle", kind, "--deck", "4", "--times", "-2")
+        assert code == 1
+        assert env["result"] is None
+        assert env["error"] == {"type": "ValueError", "message": "times must be non-negative, got -2"}
+        # the deck is checked first, so an odd deck keeps its own error
+        code, env = run_json(capsys, "shuffle", kind, "--deck", "7", "--times", "-2")
+        assert code == 1
+        assert env["error"]["message"] == "deck size must be even and positive, got 7"
+
     def test_runs_agreeing_methods(self, capsys):
         _, env = run_json(capsys, "runs", "--n", "4", "--r", "2", "--p", "1/2")
         assert set(env["result"].values()) == {0.5}
@@ -235,6 +267,12 @@ class TestSubcommands:
         assert code == 1
         assert "seed" in env["error"]["message"]
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bernstein_mc_non_positive_n(self, capsys, n):
+        code, env = run_json(capsys, "--seed", "1", "bernstein", "mc", "--n", n, "--t", "1")
+        assert code == 1
+        assert env["error"] == {"type": "ValueError", "message": f"n must be a positive integer, got {n}"}
+
     def test_bernstein_mc_seeded(self, capsys):
         code, env = run_json(
             capsys, "--seed", "42", "bernstein", "mc", "--n", "10", "--t", "4.0",
@@ -280,6 +318,25 @@ class TestSubcommands:
     def test_partition_asymptotic(self, capsys):
         _, env = run_json(capsys, "partition", "asymptotic", "--n", "100")
         assert env["result"]["refined"] == pytest.approx(190569292, rel=1e-5)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ("lexis", "qhat", "--s", "3", "--counts-csv"), ("lexis", "d", "--matrix-csv")])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_missing_csv_is_error_envelope(self, capsys, tmp_path, argv, fmt):
+        missing = str(tmp_path / "missing.csv")
+        code = main(["--format", fmt, *argv, missing])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            error = json.loads(captured.out)["error"]
+            assert error["type"] == "FileNotFoundError"
+            assert missing in error["message"]
+        else:
+            sep = " = " if fmt == "plain" else ","
+            assert f"error.type{sep}FileNotFoundError" in captured.out.splitlines()
 
 
 class TestUsageErrors:

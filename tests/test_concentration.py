@@ -159,6 +159,17 @@ class TestMonteCarloHarness:
         monkeypatch.setattr(concentration, "_MC_BLOCK", block)
         assert mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001) == want
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_n_refused_before_any_draw(self, monkeypatch, n):
+        # n = -3 reached numpy's "negative dimensions are not allowed", and
+        # n = 0 drew every sample before BernsteinInput refused B_n_sq = 0
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(concentration.np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+            mc_abs_sum_tail(n, 1.0, seed=1)
+
     def test_memory_does_not_grow_with_the_samples(self):
         # numpy reports its buffers to tracemalloc; a 20,000-sample chunk
         # of 30 doubles a row would take 4.8 MB

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +22,6 @@ from certiprob.gems import (
     partition_exact,
     partition_uspensky,
     perfect_in_shuffle,
-    permutation_order,
     shuffle_order,
     spectrum,
     triple_spectrum_search,
@@ -88,6 +88,33 @@ def strong_probable_prime(n, base):
         if y == n - 1:
             return True
     return False
+
+
+def deal_over_under(two_n):
+    """Cards 1..2n dealt one at a time: the first starts the pile, then
+    they go alternately on top and underneath.  The pile, top down."""
+    pile = deque()
+    for i, card in enumerate(range(1, two_n + 1)):
+        if i % 2 == 1:
+            pile.appendleft(card)  # even-numbered cards go on top
+        else:
+            pile.append(card)
+    return tuple(pile)
+
+
+def cycle_walk_order(arrangement):
+    """lcm of the cycle lengths of the permutation i -> arrangement[i] - 1."""
+    seen = [False] * len(arrangement)
+    order = 1
+    for start in range(len(arrangement)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = arrangement[i] - 1
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 def iterate_until_identity(shuffle, size, cap=10**6):
@@ -252,18 +279,43 @@ class TestMongeShuffle:
         assert monge_order(8) == iterate_until_identity(monge_shuffle, 8)
 
     def test_order_matches_iteration(self):
-        for two_n in range(2, 61, 2):
+        for two_n in range(2, 401, 2):
             assert monge_order(two_n) == iterate_until_identity(monge_shuffle, two_n)
 
     def test_matches_dealing_loop(self):
         for two_n in range(2, 201, 2):
-            pile = []
-            for i, card in enumerate(range(1, two_n + 1)):
-                if i % 2 == 1:
-                    pile.insert(0, card)  # even-numbered cards go on top
-                else:
-                    pile.append(card)
-            assert monge_shuffle(Deck.identity(two_n)).order == tuple(pile)
+            assert monge_shuffle(Deck.identity(two_n)).order == deal_over_under(two_n)
+
+    def test_order_matches_cycle_walk_of_the_deal(self):
+        rng = random.Random(1833)
+        for two_n in [2 * rng.randrange(1, 10**4 + 1) for _ in range(60)] + [2 * 10**4]:
+            assert monge_order(two_n) == cycle_walk_order(deal_over_under(two_n)), two_n
+
+    @pytest.mark.parametrize("two_n", [10**10, 10**10 + 2, 10**10 + 1234, 10**10 + 55556])
+    def test_order_near_ten_to_the_ten_is_least(self, two_n):
+        # the k with 2^k = +-1 mod 4n+1 are the multiples of the least one
+        m = 2 * two_n + 1
+        k = monge_order(two_n)
+        assert pow(2, k, m) in (1, m - 1)
+        for q in factorize_by_trial_division(k):
+            assert pow(2, k // q, m) not in (1, m - 1)
+
+    def test_order_builds_no_deck(self, monkeypatch):
+        # an odd or empty deck is refused with Deck's message, without a Deck
+        for two_n in (7, 0):
+            with pytest.raises(ValueError, match=f"deck size must be even and positive, got {two_n}$"):
+                Deck.identity(two_n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a deck was built or shuffled")
+
+        monkeypatch.setattr(gems, "Deck", refuse)
+        monkeypatch.setattr(gems, "monge_shuffle", refuse)
+        assert monge_order(52) == 12
+        assert monge_order(2 * 10**15) == 165703275529858
+        for two_n in (7, 0):
+            with pytest.raises(ValueError, match=f"deck size must be even and positive, got {two_n}$"):
+                monge_order(two_n)
 
     def test_double_monge_fixed_points(self):
         for two_n in (8, 12, 20):
@@ -275,10 +327,6 @@ class TestMongeShuffle:
                 deck = monge_shuffle(deck)
             oracle = {c for pos, c in enumerate(deck.order, start=1) if pos == c}
             assert fixed == oracle
-
-    def test_permutation_order_helper(self):
-        assert permutation_order((1, 2, 0)) == 3
-        assert permutation_order(Deck(order=(2, 1, 4, 3))) == 2
 
 
 class TestQuadSurd:

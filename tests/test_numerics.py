@@ -8,12 +8,7 @@ import pytest
 
 from certiprob.binom_tail import TailQuery, bahadur_tail
 from certiprob.lexis import CountVector, dispersion_Q
-from certiprob.numerics import (
-    TailConventionWarning,
-    binom_tail_exact,
-    binom_tail_fraction,
-    log_binom_pmf,
-)
+from certiprob.numerics import TailConventionWarning, binom_tail_exact, log_binom_pmf
 
 from certiprob.ruin import RuinGame
 from certiprob.runs import RunSpec
@@ -127,16 +122,6 @@ class TestBinomTailExact:
             l = rng.randint(0, n - 1)
             lo, hi = sorted((rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)))
             assert binom_tail_exact(n, l, lo) <= binom_tail_exact(n, l, hi) + 1e-15
-
-
-class TestBinomTailFraction:
-    def test_matches_independent_oracle(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            n = rng.randint(1, 120)
-            l = rng.randint(-1, n + 0)
-            p = Fraction(rng.randint(1, 9), 10)
-            assert binom_tail_fraction(n, l, p) == tail_fraction_oracle(n, l, p)
 
 
 # Every caller of the shared p-range check, as a function of p alone.
