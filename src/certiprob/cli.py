@@ -357,7 +357,12 @@ def _shuffled(args, shuffle, order_of):
 
     The deck is back in order after every `order` shuffles, so only
     times % order of them are dealt: 10^12 shuffles cost at most order.
+    The envelope prints every card, so a deck above MAX_DECK cards is
+    refused before one is built.
     """
+    if args.deck > MAX_DECK:
+        raise ValueError(
+            f"deck size must be at most {MAX_DECK} to print its arrangement, got {args.deck}")
     deck = gems.Deck.identity(args.deck)
     if args.times < 0:
         raise ValueError(f"times must be non-negative, got {args.times}")
@@ -427,6 +432,9 @@ _GAME = [
     _P,
 ]
 _DECK = _int("--deck", help="deck size 2n")
+# cards in the largest arrangement `shuffle perfect` and `shuffle monge` print
+MAX_DECK = 10**6
+_DEALT_DECK = _int("--deck", help=f"deck size 2n, at most {MAX_DECK} (every card is printed)")
 _TIMES = _arg("--times", type=int, default=1)
 _HORIZON = _int("--horizon")
 
@@ -486,12 +494,12 @@ COMMANDS = {
         None, [_DECK], ["multiplicative-order"],
         lambda a: ({"deck": a.deck}, {"order": gems.shuffle_order(a.deck)}, [])),
     ("shuffle", "perfect"): (
-        None, [_DECK, _TIMES], ["in-shuffle-permutation"],
+        None, [_DEALT_DECK, _TIMES], ["in-shuffle-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
                    {"arrangement": _shuffled(a, gems.perfect_in_shuffle, gems.shuffle_order)[0]},
                    [])),
     ("shuffle", "monge"): (
-        None, [_DECK, _TIMES], ["over-under-permutation"],
+        None, [_DEALT_DECK, _TIMES], ["over-under-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
                    dict(zip(("arrangement", "order"),
                             _shuffled(a, gems.monge_shuffle, gems.monge_order))), [])),

@@ -9,9 +9,12 @@ Uniformly bounded variables |X_j| <= M satisfy the moment condition with
 c = M/3.  The module evaluates the bound, checks the moment condition
 against user-supplied absolute moments, and ships a seeded Monte Carlo
 harness for validating the bound empirically.  The harness draws in
-blocks of a fixed number of doubles, so its memory does not grow with
-the sample count; the blocks take the same draws in the same order as
-one samples-by-n array would, and every seeded estimate is unchanged.
+blocks of a fixed number of doubles, into one reused buffer, so its
+memory does not grow with the sample count; the blocks take the same
+draws in the same order as one samples-by-n array would.  Each row is
+decided from a BLAS row sum of its uniforms against cuts widened by a
+stated rounding margin, and a block with a row inside the margin is
+re-summed whole the original way, so every seeded estimate is unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ _C_FROM_M_TOL = 1e-15
 _MC_CHUNK = 20_000
 # doubles per block of Monte Carlo draws; the estimate does not depend on it
 _MC_BLOCK = 1 << 15
+# unit roundoff of a double
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,13 @@ def moment_condition_check(
     return MomentCheckReport(holds=not failures, failures=tuple(failures))
 
 
+def _summed_exceedances(u, t: float) -> int:
+    """Rows of the (k, n) block u of uniform [0, 1) draws whose sum of
+    2u - 1 exceeds t in absolute value, each row summed by the expression
+    (2u - 1).sum(axis=1) on that (k, n) shape."""
+    return int(np.count_nonzero(np.abs((2.0 * u - 1.0).sum(axis=1)) > t))
+
+
 def mc_abs_sum_tail(
     n: int,
     t: float,
@@ -129,9 +141,25 @@ def mc_abs_sum_tail(
     chunks whose generators are spawned deterministically from the master
     seed, so the estimate is reproducible and chunks could run in parallel
     without changing it.  Each chunk draws its rows in blocks of about
-    _MC_BLOCK doubles, the same draws in the same order as one
-    samples-by-n array and each row summed alike, so memory stays
-    O(block) at any sample count and the estimate is unchanged.
+    _MC_BLOCK doubles, into one buffer reused for every block, the same
+    draws in the same order as one samples-by-n array, so memory stays
+    O(block) at any sample count.
+
+    A row counts when |R| > t, R being the row's sum of X_j = 2 U_j - 1
+    as (2U - 1).sum(axis=1) forms it: X_j is exactly the double that
+    uniform(-1, 1) draws from the same U_j.  With S the row's BLAS sum
+    U @ ones(n), |R| > t when |S - n/2| > t/2 + margin and |R| < t when
+    |S - n/2| < t/2 - margin, where t is first clamped to [-n, n] (|R| <= n
+    holds for any rounded sum of n terms in [-1, 1], so the clamp changes
+    no decision and keeps the cuts finite).  The margin is
+    2 gamma_{n-1} n + 2 u n, u = 2^-53 and gamma_k = k u / (1 - k u):
+    each of R and S lies within gamma_{n-1} n of its exact value in any
+    summation order, FMA included (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4), which moves |R|/2 against |S - n/2|
+    by at most 1.5 gamma_{n-1} n, and 2 u n covers the rounding of
+    S - n/2 and of the cuts.  A block with a row between the cuts is
+    re-summed whole by the original expression, so every seeded
+    estimate keeps its bits.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -141,15 +169,31 @@ def mc_abs_sum_tail(
         raise ValueError("t must be a number, got nan")
     master = np.random.SeedSequence(seed)
     children = master.spawn(math.ceil(samples / _MC_CHUNK))
-    rows = max(1, _MC_BLOCK // n)
+    # no block holds more rows than a chunk or the run has, so neither does the buffer
+    rows = max(1, min(_MC_BLOCK // n, _MC_CHUNK, samples))
+    buf = np.empty(rows * n)
+    ones = np.ones(n)
+    gamma = (n - 1) * _UNIT_ROUNDOFF / (1 - (n - 1) * _UNIT_ROUNDOFF)
+    margin = 2 * gamma * n + 2 * _UNIT_ROUNDOFF * n
+    half_t = min(max(t, -n), n) / 2
+    above, below = half_t + margin, half_t - margin
     exceed = 0
     done = 0
     for child in children:
         m = min(_MC_CHUNK, samples - done)
         rng = np.random.default_rng(child)
         for first in range(0, m, rows):
-            sums = rng.uniform(-1.0, 1.0, size=(min(rows, m - first), n)).sum(axis=1)
-            exceed += int(np.count_nonzero(np.abs(sums) > t))
+            k = min(rows, m - first)
+            u = buf[: k * n].reshape(k, n)
+            rng.random(out=u)
+            dev = u @ ones
+            dev -= n / 2
+            np.abs(dev, out=dev)
+            out = int(np.count_nonzero(dev > above))
+            if out + int(np.count_nonzero(dev < below)) == k:
+                exceed += out
+            else:
+                exceed += _summed_exceedances(u, t)
         done += m
     p_hat = exceed / samples
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)

@@ -37,6 +37,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -402,15 +403,23 @@ def _hits(generators: Sequence[Alpha], horizon: int):
     generator keeps a cursor, its first n whose floor lies past the
     windows already counted, so a window computes only its own floors
     (and the few past its edge that _floors' float guesses overshoot).
+
+    All windows share one int8 buffer, which holds up to 127 generators:
+    counts is a view of it, valid only until the next window is asked
+    for.  A generator adds 1 at its floors by counts[floors - lo] += 1;
+    a repeated index would be added once, not twice, but _floors returns
+    strictly increasing floors for alpha > 1, so no index repeats.
     """
     cursors = [1] * len(generators)
+    buffer = np.empty(_WINDOW, dtype=np.int8)
     for lo in range(1, horizon + 1, _WINDOW):
         hi = min(lo + _WINDOW - 1, horizon)
-        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        counts = buffer[: hi - lo + 1]
+        counts.fill(0)
         for k, g in enumerate(generators):
             floors = _floors(g, hi, cursors[k])
             cursors[k] += len(floors)
-            counts += np.bincount(floors - lo, minlength=len(counts))
+            counts[floors - lo] += 1
         yield lo, counts
 
 
@@ -545,14 +554,29 @@ def _pentagonal_offsets(n: int):
     return plus, minus
 
 
+def _gathers(offsets):
+    """For each prefix length i of the ascending offsets, a function of a
+    list giving the tuple of its entries [-g] over the first i offsets g.
+
+    itemgetter with two or more indices returns a tuple; with one it
+    returns the bare entry, so that length is wrapped in a 1-tuple.
+    """
+    gathers = [lambda cache: ()]
+    if offsets:
+        gathers.append(lambda cache, k=-offsets[0]: (cache[k],))
+    gathers += [itemgetter(*[-g for g in offsets[:i]]) for i in range(2, len(offsets) + 1)]
+    return gathers
+
+
 def partition_exact(n: int) -> int:
     """p(n) by the pentagonal-number recurrence, exact big integers.
 
     p(m) = sum_{k>=1} (-1)^(k+1) [ p(m - k(3k-1)/2) + p(m - k(3k+1)/2) ]
 
     The pentagonal numbers up to n are tabled once per growth of the memo,
-    split by sign; while the memo holds p(0..m-1), cache[-g] is p(m - g),
-    so each p(m) is two sums over the offsets g <= m.  Values are memoized;
+    split by sign, with one prebuilt gather per prefix of each side; while
+    the memo holds p(0..m-1), cache[-g] is p(m - g), so each p(m) is two
+    sums of the gathers over the offsets g <= m.  Values are memoized;
     the lock keeps the cache append-only under concurrent callers.
     """
     if n < 0:
@@ -561,13 +585,11 @@ def partition_exact(n: int) -> int:
         cache = _PARTITION_CACHE
         if len(cache) <= n:
             plus, minus = _pentagonal_offsets(n)
-            neg_plus = [-g for g in plus]
-            neg_minus = [-g for g in minus]
-            get = cache.__getitem__
+            plus_gathers, minus_gathers = _gathers(plus), _gathers(minus)
             for m in range(len(cache), n + 1):
                 cache.append(
-                    sum(map(get, neg_plus[: bisect_right(plus, m)]))
-                    - sum(map(get, neg_minus[: bisect_right(minus, m)]))
+                    sum(plus_gathers[bisect_right(plus, m)](cache))
+                    - sum(minus_gathers[bisect_right(minus, m)](cache))
                 )
         return cache[n]
 

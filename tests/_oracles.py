@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths of the package under
 test: tails are summed from the complement, run probabilities come from
 raw bitmask enumeration, Wythoff positions from retrograde game solving,
 partition counts from a coin-style dynamic program, and reference logs
-from 50-digit arithmetic.
+from 50-digit arithmetic.  Two are plain versions of a fast kernel, kept
+to pin its bits: the Monte Carlo block loop, which draws uniform(-1, 1)
+and sums every row, and the Beatty window counts by bincount.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 50
 
@@ -274,7 +277,49 @@ def partition_table_dp(nmax: int):
 
 
 # --------------------------------------------------------------------------
+# Monte Carlo
+
+
+def mc_abs_sum_tail_blocks(n: int, t: float, seed: int, samples: int,
+                           chunk: int = 20_000, block: int = 1 << 15):
+    """(p_hat, se) for P(|X_1 + ... + X_n| > t), X_j uniform on [-1, 1]:
+    one generator per chunk of samples, spawned from the seed, drawing
+    blocks of about `block` doubles by uniform(-1, 1) and summing each
+    row by .sum(axis=1)."""
+    children = np.random.SeedSequence(seed).spawn(math.ceil(samples / chunk))
+    rows = max(1, block // n)
+    exceed = 0
+    done = 0
+    for child in children:
+        m = min(chunk, samples - done)
+        rng = np.random.default_rng(child)
+        for first in range(0, m, rows):
+            sums = rng.uniform(-1.0, 1.0, size=(min(rows, m - first), n)).sum(axis=1)
+            exceed += int(np.count_nonzero(np.abs(sums) > t))
+        done += m
+    p_hat = exceed / samples
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
+    return p_hat, se
+
+
+# --------------------------------------------------------------------------
 # spectra
+
+
+def beatty_hits_bincount(generators, horizon: int, floors, window: int):
+    """(lo, counts) for consecutive windows of at most `window` integers
+    of 1..horizon, counts[i] being how many spectra hit lo + i: each
+    window a fresh int64 array, summed from np.bincount of every
+    generator's floors(g, hi, start) in it."""
+    cursors = [1] * len(generators)
+    for lo in range(1, horizon + 1, window):
+        hi = min(lo + window - 1, horizon)
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        for k, g in enumerate(generators):
+            got = floors(g, hi, cursors[k])
+            cursors[k] += len(got)
+            counts += np.bincount(got - lo, minlength=len(counts))
+        yield lo, counts
 
 
 def floor_mult_reference(alpha_mpf, n: int) -> int:

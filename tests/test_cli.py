@@ -166,6 +166,26 @@ class TestSubcommands:
         assert code == 1
         assert env["error"]["message"] == "deck size must be even and positive, got 7"
 
+    @pytest.mark.parametrize("kind", ["perfect", "monge"])
+    @pytest.mark.parametrize("deck", [cli.MAX_DECK + 2, 2 * 10**15])
+    def test_oversized_deck_refused_before_it_is_built(self, capsys, monkeypatch, kind, deck):
+        # Deck.identity(2 * 10**15) died with a MemoryError traceback
+        def no_deck(size):
+            raise AssertionError(f"a deck of {size} cards was built")
+
+        monkeypatch.setattr(cli.gems.Deck, "identity", no_deck)
+        code, env = run_json(capsys, "shuffle", kind, "--deck", str(deck))
+        assert code == 1
+        assert env["result"] is None
+        assert env["error"] == {
+            "type": "ValueError",
+            "message": f"deck size must be at most 1000000 to print its arrangement, got {deck}"}
+
+    def test_shuffle_order_takes_any_deck(self, capsys):
+        code, env = run_json(capsys, "shuffle", "order", "--deck", str(2 * 10**15))
+        assert code == 0
+        assert env["result"]["order"] == 18372570332522
+
     def test_runs_agreeing_methods(self, capsys):
         _, env = run_json(capsys, "runs", "--n", "4", "--r", "2", "--p", "1/2")
         assert set(env["result"].values()) == {0.5}

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from certiprob import concentration
@@ -12,6 +13,20 @@ from certiprob.concentration import (
     mc_abs_sum_tail,
     moment_condition_check,
 )
+
+from _oracles import mc_abs_sum_tail_blocks
+
+
+def drawn_row_sum(n, seed):
+    """The first drawn row's sum for this seed, as uniform(-1, 1) and
+    .sum(axis=1) form it."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return float(np.random.default_rng(child).uniform(-1.0, 1.0, size=(1, n)).sum(axis=1)[0])
+
+
+# a threshold on a row of seed 3's draws at n = 30, where the row sum
+# alone cannot decide the row
+ROW_T = abs(drawn_row_sum(30, 3))
 
 
 class TestBernsteinBound:
@@ -152,12 +167,18 @@ class TestMonteCarloHarness:
         p_hat, se = mc_abs_sum_tail(1, 0.5, seed=11, samples=300_000)
         assert p_hat == pytest.approx(0.5, abs=5 * se)
 
-    @pytest.mark.parametrize("block", [1, 7, 90, 10**6])
-    def test_blocks_leave_the_estimate_unchanged(self, monkeypatch, block):
+    @pytest.mark.parametrize("block, t", [
+        pytest.param(1, 5.0, id="1"),
+        pytest.param(7, 5.0, id="7"),
+        pytest.param(90, 5.0, id="90"),
+        pytest.param(10**6, 5.0, id="1000000"),
+        pytest.param(90, ROW_T, id="90-t-on-a-drawn-row"),
+    ])
+    def test_blocks_leave_the_estimate_unchanged(self, monkeypatch, block, t):
         # 45,001 samples: two full 20,000-sample chunks and a short one
-        want = mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001)
+        want = mc_abs_sum_tail(30, t, seed=3, samples=45_001)
         monkeypatch.setattr(concentration, "_MC_BLOCK", block)
-        assert mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001) == want
+        assert mc_abs_sum_tail(30, t, seed=3, samples=45_001) == want
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_non_positive_n_refused_before_any_draw(self, monkeypatch, n):
@@ -180,3 +201,53 @@ class TestMonteCarloHarness:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestMonteCarloFastPath:
+    """Row sums of the uniforms decide each row unless a row lies within
+    the rounding margin of the threshold; then its block is re-summed
+    whole as .sum(axis=1) sums it.  Either way the estimate equals the
+    plain block loop's to the bit."""
+
+    @staticmethod
+    def sample_counts(n):
+        rows = max(1, concentration._MC_BLOCK // n)  # rows per block
+        counts = {rows - 1, rows, rows + 1} - {0}
+        if n <= 31:  # around the 20,000-sample chunk
+            counts |= {19_999, 20_000, 20_001}
+        return sorted(counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 31, 1000, 40_000])
+    @pytest.mark.parametrize("t_of_n", [
+        lambda n: 0.0, lambda n: -1.0, lambda n: float(n), lambda n: n + 1.0,
+        lambda n: math.inf, lambda n: -math.inf, lambda n: math.sqrt(n),
+    ], ids=["0", "-1", "n", "n+1", "inf", "-inf", "sqrt(n)"])
+    def test_equals_the_block_loop(self, n, t_of_n):
+        t = t_of_n(n)
+        for samples in self.sample_counts(n):
+            want = mc_abs_sum_tail_blocks(n, t, seed=n, samples=samples)
+            assert mc_abs_sum_tail(n, t, seed=n, samples=samples) == want, samples
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_threshold_on_a_drawn_row_resums_its_block(self, monkeypatch, step):
+        t = ROW_T if step == 0 else math.nextafter(ROW_T, step * math.inf)
+        resummed = []
+        summed = concentration._summed_exceedances
+
+        def spy(u, t):
+            resummed.append(len(u))
+            return summed(u, t)
+
+        monkeypatch.setattr(concentration, "_summed_exceedances", spy)
+        got = mc_abs_sum_tail(30, t, seed=3, samples=45_001)
+        assert got == mc_abs_sum_tail_blocks(30, t, seed=3, samples=45_001)
+        # the row opens the first block, re-summed whole: 2^15 // 30 rows
+        assert resummed[0] == concentration._MC_BLOCK // 30
+
+    def test_row_sums_decide_a_typical_threshold(self, monkeypatch):
+        def no_resum(u, t):
+            raise AssertionError("a block was re-summed")
+
+        monkeypatch.setattr(concentration, "_summed_exceedances", no_resum)
+        got = mc_abs_sum_tail(30, 5.0, seed=3, samples=45_001)
+        assert got == mc_abs_sum_tail_blocks(30, 5.0, seed=3, samples=45_001)

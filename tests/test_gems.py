@@ -28,7 +28,12 @@ from certiprob.gems import (
     wythoff_cold,
 )
 
-from _oracles import floor_mult_reference, partition_table_dp, wythoff_cold_retrograde
+from _oracles import (
+    beatty_hits_bincount,
+    floor_mult_reference,
+    partition_table_dp,
+    wythoff_cold_retrograde,
+)
 
 # the classical shuffle-order table for deck sizes 2..52
 SHUFFLE_TABLE = {
@@ -561,6 +566,47 @@ class TestTilingWindows:
         assert peak < 4 * 2**20
 
 
+class TestHitBuffer:
+    """_hits' one reused int8 buffer against fresh bincount windows."""
+
+    # horizons end mid-window: 2.5 windows of 2^15, and 7 short of 3
+    CASES = [
+        pytest.param([QuadSurd.golden(), QuadSurd.golden_sq()], 81_920, id="phi pair"),
+        pytest.param([Fraction(3, 2), Fraction(3)], 81_920, id="rational pair"),
+        pytest.param([Fraction(2), Fraction(3), Fraction(5)], 98_297, id="2-3-5 triple"),
+        pytest.param([QuadSurd.sqrt(2), 2.5, Fraction(7, 3)], 98_297, id="mixed triple"),
+    ]
+
+    @staticmethod
+    def bincount_hits(generators, horizon):
+        return beatty_hits_bincount(generators, horizon, gems._floors, gems._WINDOW)
+
+    @pytest.mark.parametrize("generators, horizon", CASES)
+    def test_windows_equal_bincount(self, generators, horizon):
+        got = [(lo, counts.copy()) for lo, counts in gems._hits(generators, horizon)]
+        want = list(self.bincount_hits(generators, horizon))
+        assert [lo for lo, _ in got] == [lo for lo, _ in want]
+        assert all(g.tolist() == w.tolist() for (_, g), (_, w) in zip(got, want))
+        assert len(got[-1][1]) == horizon % gems._WINDOW
+        if len(generators) == 3:  # some integer in every window is hit three times
+            assert all(max(c) == 3 for _, c in got)
+
+    @pytest.mark.parametrize("generators, horizon", CASES)
+    def test_reports_equal_bincount(self, monkeypatch, generators, horizon):
+        if len(generators) == 2:
+            check = lambda: beatty_pair_check(generators[0], horizon)
+        else:
+            check = lambda: triple_spectrum_search(generators, horizon)
+        got = check()
+        monkeypatch.setattr(gems, "_hits", self.bincount_hits)
+        assert got == check()
+
+    def test_each_window_reuses_the_buffer(self):
+        windows = gems._hits([Fraction(2), Fraction(3)], 3 * gems._WINDOW)
+        first = next(windows)[1]
+        assert next(windows)[1].base is first.base
+
+
 class TestTripleSpectra:
     def test_pair_plus_anything_fails_fast(self):
         res = triple_spectrum_search(
@@ -643,6 +689,26 @@ class TestPartitions:
         dp = partition_table_dp(1500)
         assert grown == dp
         assert stepped == [dp[10], dp[700], dp[1500]]
+
+    def test_cold_small_values(self):
+        # p(0..7) is computed with a gather of one offset on either side
+        dp = partition_table_dp(7)
+        for n in range(8):
+            with gems._PARTITION_LOCK:
+                del gems._PARTITION_CACHE[1:]
+            assert partition_exact(n) == dp[n]
+            assert gems._PARTITION_CACHE == dp[: n + 1]
+
+    def test_grown_one_pentagonal_number_at_a_time(self):
+        # every growth ends on a pentagonal number, where the gathers of
+        # the next growth take one more offset
+        plus, minus = gems._pentagonal_offsets(1000)
+        dp = partition_table_dp(1000)
+        with gems._PARTITION_LOCK:
+            del gems._PARTITION_CACHE[1:]
+        for g in sorted(plus + minus):
+            assert partition_exact(g) == dp[g]
+            assert gems._PARTITION_CACHE == dp[: g + 1]
 
     def test_asymptotics_approach_exact(self):
         ratios = []
