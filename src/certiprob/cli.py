@@ -13,14 +13,14 @@ builds every parser from the table and main wraps what the handler
 returns in the envelope.  The parser is built on the first main call
 and shared by every later call in the process.
 
-Exit codes: 0 success, 1 domain/numeric error or unreadable input file
-(structured error envelope on stdout) or a failed self-check (`runs
---method all` methods that disagree: the envelope keeps its result and
-names the gap in warnings),
-2 usage error (argparse diagnostic on stderr).  JSON has no form for inf
-or nan, so render refuses an envelope that holds one with
-NonFiniteResultError (exit 1), in every format; an error envelope echoes
-such an argument as its repr string.
+Exit codes: 0 success, 1 domain/numeric error, unreadable input file or
+refused memory allocation (structured error envelope on stdout) or a
+failed self-check (`runs --method all` methods that disagree: the
+envelope keeps its result and names the gap in warnings), 2 usage error
+(argparse diagnostic on stderr).  JSON has no form for inf or nan, so
+render refuses an envelope that holds one with NonFiniteResultError
+(exit 1), in every format; an error envelope echoes such an argument as
+its repr string.
 """
 
 from __future__ import annotations
@@ -351,25 +351,12 @@ def _bernstein_mc(args):
     )
 
 
-def _shuffled(args, shuffle, order_of):
-    """(arrangement, order): the identity deck of args.deck cards after
-    args.times shuffles, and the shuffle's recycling count order_of(deck).
-
-    The deck is back in order after every `order` shuffles, so only
-    times % order of them are dealt: 10^12 shuffles cost at most order.
-    The envelope prints every card, so a deck above MAX_DECK cards is
-    refused before one is built.
-    """
-    if args.deck > MAX_DECK:
+def _dealt(deck: int) -> int:
+    """The deck size, refused above MAX_DECK cards: the envelope prints every card."""
+    if deck > MAX_DECK:
         raise ValueError(
-            f"deck size must be at most {MAX_DECK} to print its arrangement, got {args.deck}")
-    deck = gems.Deck.identity(args.deck)
-    if args.times < 0:
-        raise ValueError(f"times must be non-negative, got {args.times}")
-    order = order_of(args.deck)
-    for _ in range(args.times % order):
-        deck = shuffle(deck)
-    return list(deck.order), order
+            f"deck size must be at most {MAX_DECK} to print its arrangement, got {deck}")
+    return deck
 
 
 def _beatty_pair(args):
@@ -496,13 +483,12 @@ COMMANDS = {
     ("shuffle", "perfect"): (
         None, [_DEALT_DECK, _TIMES], ["in-shuffle-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
-                   {"arrangement": _shuffled(a, gems.perfect_in_shuffle, gems.shuffle_order)[0]},
-                   [])),
+                   {"arrangement": gems.in_shuffled(_dealt(a.deck), a.times)}, [])),
     ("shuffle", "monge"): (
         None, [_DEALT_DECK, _TIMES], ["over-under-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
-                   dict(zip(("arrangement", "order"),
-                            _shuffled(a, gems.monge_shuffle, gems.monge_order))), [])),
+                   {"arrangement": gems.monge_shuffled(_dealt(a.deck), a.times),
+                    "order": gems.monge_order(a.deck)}, [])),
     ("beatty", "pair"): (
         None,
         [_arg("--alpha", required=True, help="phi | phi2 | sqrt:D | quad:x,y,d | number"),
@@ -595,7 +581,7 @@ def main(argv=None) -> int:
                         provenance=list(result if provenance is None else provenance),
                         warnings=warn)
         text = render(envelope, args.format)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         # The error envelope echoes the parsed arguments, leaving out the
         # path, --format, and the global --seed and --tol when not given;
         # an inf or nan argument is echoed as its repr string.

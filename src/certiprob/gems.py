@@ -8,7 +8,8 @@ Four loosely related classics, all with exact integer backbones:
   rho whose every factor is certified prime by deterministic Miller-Rabin
   or by trial division to its square root; the over-under (Monge)
   shuffle restores 2n cards after the least k with 2^k = +-1 modulo
-  4n+1, read off the same order computation for 4n+1;
+  4n+1, read off the same order computation for 4n+1.  A deck after any
+  number of either shuffle is read off one power of 2, not dealt;
 * the spectrum of alpha > 1 is the sequence floor(n*alpha); two spectra
   with 1/alpha + 1/beta = 1 (alpha irrational) tile the integers, and no
   three spectra can (Uspensky, 1927) - witnesses for the failure are
@@ -48,6 +49,11 @@ from .numerics import _as_fraction
 # shuffles
 
 
+def _check_deck(two_n: int) -> None:
+    if two_n < 2 or two_n % 2 != 0:
+        raise ValueError(f"deck size must be even and positive, got {two_n}")
+
+
 @dataclass(frozen=True)
 class Deck:
     """A deck of even size; order lists card labels top-down."""
@@ -58,8 +64,7 @@ class Deck:
         order = tuple(self.order)
         object.__setattr__(self, "order", order)
         size = len(order)
-        if size == 0 or size % 2 != 0:
-            raise ValueError(f"deck size must be even and positive, got {size}")
+        _check_deck(size)
         if sorted(order) != list(range(1, size + 1)):
             raise ValueError("order must be a permutation of 1..2n")
 
@@ -227,8 +232,7 @@ def shuffle_order(two_n: int) -> int:
     the Euler totient along its prime factors (no permutation is ever
     iterated here; the test suite does that independently).
     """
-    if two_n < 2 or two_n % 2 != 0:
-        raise ValueError(f"deck size must be even and >= 2, got {two_n}")
+    _check_deck(two_n)
     m = two_n + 1
     phi = 1
     for prime, exp in _factorize(m).items():
@@ -253,11 +257,39 @@ def monge_order(two_n: int) -> int:
     least such k is e/2 when 2^(e/2) = -1 and e otherwise.  No deck is
     built and no permutation is walked.
     """
-    if two_n < 2 or two_n % 2 != 0:
-        raise ValueError(f"deck size must be even and positive, got {two_n}")
+    _check_deck(two_n)
     m = 2 * two_n + 1
     e = shuffle_order(2 * two_n)
     return e // 2 if pow(2, e // 2, m) == m - 1 else e
+
+
+def in_shuffled(two_n: int, times: int) -> list:
+    """The identity deck of 2n cards after `times` perfect in-shuffles.
+
+    Card i moves to position 2i mod 2n+1, so position j holds card
+    j * 2^(-times) mod 2n+1: one pow and one pass, whatever `times` is.
+    perfect_in_shuffle deals the same arrangement one shuffle at a time.
+    """
+    _check_deck(two_n)
+    if times < 0:
+        raise ValueError(f"times must be non-negative, got {times}")
+    step = pow(2, -times, two_n + 1)
+    return [j * step % (two_n + 1) for j in range(1, two_n + 1)]
+
+
+def monge_shuffled(two_n: int, times: int) -> list:
+    """The identity deck of 2n cards after `times` over-under shuffles.
+
+    In monge_order's labels the position labelled y = j + 2n holds the
+    card labelled +-y * 2^times mod 4n+1, the one of the pair in 2n+1..4n
+    (the two sum to 4n+1): card label - 2n.  monge_shuffle deals the same.
+    """
+    _check_deck(two_n)
+    if times < 0:
+        raise ValueError(f"times must be non-negative, got {times}")
+    m = 2 * two_n + 1
+    step = pow(2, times, m)
+    return [max(x, m - x) - two_n for x in (y * step % m for y in range(two_n + 1, m))]
 
 
 def full_cycle_shuffle_stats(max_deck: int):
@@ -624,6 +656,8 @@ __all__ = [
     "monge_shuffle",
     "shuffle_order",
     "monge_order",
+    "in_shuffled",
+    "monge_shuffled",
     "full_cycle_shuffle_stats",
     "QuadSurd",
     "Spectrum",

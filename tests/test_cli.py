@@ -140,20 +140,34 @@ class TestSubcommands:
         # 16 cards recycle after 8 in-shuffles and after 5 over-under
         # shuffles, both divisors of 10^12
         _, want = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", "3")
-        dealt = getattr(cli.gems, shuffle)
         calls = []
-
-        def counted(deck):
-            calls.append(None)
-            if len(calls) > 100:
-                raise AssertionError("more than 100 shuffles dealt")
-            return dealt(deck)
-
-        monkeypatch.setattr(cli.gems, shuffle, counted)
+        monkeypatch.setattr(cli.gems, shuffle, calls.append)
         code, env = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", str(10**12 + 3))
         assert code == 0
         assert env["inputs"]["times"] == 10**12 + 3
         assert env["result"] == want["result"]
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, refused", [
+        ("perfect", ("Deck", "perfect_in_shuffle", "monge_shuffle", "shuffle_order")),
+        ("monge", ("Deck", "perfect_in_shuffle", "monge_shuffle"))], ids=["perfect", "monge"])
+    def test_shuffle_read_off_a_modular_power(self, capsys, monkeypatch, kind, refused):
+        # the arrangement the library deals, with no deck built or dealt
+        dealt = {"perfect": cli.gems.perfect_in_shuffle, "monge": cli.gems.monge_shuffle}[kind]
+        deck = cli.gems.Deck.identity(20)
+        for _ in range(7):
+            deck = dealt(deck)
+
+        def refuse(*args):
+            raise AssertionError("a deck was built, dealt or its order factorized")
+
+        for name in refused:
+            monkeypatch.setattr(cli.gems, name, refuse)
+        code, env = run_json(capsys, "shuffle", kind, "--deck", "20", "--times", "7")
+        assert code == 0
+        assert env["result"]["arrangement"] == list(deck.order)
+        if kind == "monge":
+            assert env["result"]["order"] == 10
 
     @pytest.mark.parametrize("kind", ["perfect", "monge"])
     def test_negative_shuffle_count_refused(self, capsys, kind):
@@ -170,10 +184,12 @@ class TestSubcommands:
     @pytest.mark.parametrize("deck", [cli.MAX_DECK + 2, 2 * 10**15])
     def test_oversized_deck_refused_before_it_is_built(self, capsys, monkeypatch, kind, deck):
         # Deck.identity(2 * 10**15) died with a MemoryError traceback
-        def no_deck(size):
+        def no_deck(size, *times):
             raise AssertionError(f"a deck of {size} cards was built")
 
         monkeypatch.setattr(cli.gems.Deck, "identity", no_deck)
+        monkeypatch.setattr(cli.gems, "in_shuffled", no_deck)
+        monkeypatch.setattr(cli.gems, "monge_shuffled", no_deck)
         code, env = run_json(capsys, "shuffle", kind, "--deck", str(deck))
         assert code == 1
         assert env["result"] is None
@@ -357,6 +373,22 @@ class TestUnreadableInput:
         else:
             sep = " = " if fmt == "plain" else ","
             assert f"error.type{sep}FileNotFoundError" in captured.out.splitlines()
+
+
+class TestRefusedAllocation:
+    def test_memory_error_is_error_envelope(self, capsys, monkeypatch):
+        # numpy's refusal of one 7.45 GiB block under a 2 GB address-space cap
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+        monkeypatch.setattr(cli.concentration, "mc_abs_sum_tail", refused)
+        code, env = run_json(capsys, "--seed", "1", "bernstein", "mc",
+                             "--n", "1000000000", "--t", "1", "--samples", "10")
+        assert code == 1
+        assert env["result"] is None
+        assert env["error"] == {
+            "type": "MemoryError",
+            "message": "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"}
 
 
 class TestUsageErrors:

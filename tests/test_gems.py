@@ -17,8 +17,10 @@ from certiprob.gems import (
     QuadSurd,
     beatty_pair_check,
     full_cycle_shuffle_stats,
+    in_shuffled,
     monge_order,
     monge_shuffle,
+    monge_shuffled,
     partition_exact,
     partition_uspensky,
     perfect_in_shuffle,
@@ -171,10 +173,13 @@ class TestPerfectShuffle:
                 assert two_n % shuffle_order(two_n) == 0
 
     def test_odd_deck_rejected(self):
-        with pytest.raises(ValueError):
-            Deck(order=(1, 2, 3))
-        with pytest.raises(ValueError):
-            shuffle_order(7)
+        # one message from every entry point; the deck is checked before the count
+        entries = [Deck.identity, shuffle_order, monge_order,
+                   lambda two_n: in_shuffled(two_n, -1), lambda two_n: monge_shuffled(two_n, -1)]
+        for entry in entries:
+            for two_n in (7, 0):
+                with pytest.raises(ValueError, match=f"^deck size must be even and positive, got {two_n}$"):
+                    entry(two_n)
 
     def test_full_cycle_stats_report_only(self):
         stats = full_cycle_shuffle_stats(60)
@@ -332,6 +337,45 @@ class TestMongeShuffle:
                 deck = monge_shuffle(deck)
             oracle = {c for pos, c in enumerate(deck.order, start=1) if pos == c}
             assert fixed == oracle
+
+
+DEALERS = pytest.mark.parametrize("closed, deal, order", [
+    (in_shuffled, perfect_in_shuffle, shuffle_order),
+    (monge_shuffled, monge_shuffle, monge_order),
+], ids=["in", "monge"])
+
+
+class TestDealtShuffles:
+    """The closed forms against the dealing loops they replace."""
+
+    @DEALERS
+    def test_every_count_to_twice_the_order(self, closed, deal, order):
+        for two_n in range(2, 121, 2):
+            deck = Deck.identity(two_n)
+            for times in range(2 * order(two_n) + 2):
+                assert closed(two_n, times) == list(deck.order), (two_n, times)
+                deck = deal(deck)
+
+    @DEALERS
+    def test_huge_count_is_its_residue_modulo_the_order(self, closed, deal, order):
+        for two_n in (2, 8, 52, 98, 120, 200):
+            for k in (0, 1, 3, 17):
+                deck = Deck.identity(two_n)
+                for _ in range((10**12 + k) % order(two_n)):
+                    deck = deal(deck)
+                assert closed(two_n, 10**12 + k) == list(deck.order), (two_n, k)
+
+    @DEALERS
+    def test_negative_count_refused(self, closed, deal, order):
+        with pytest.raises(ValueError, match="^times must be non-negative, got -2$"):
+            closed(4, -2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 1000), times=st.integers(0, 10**18))
+    def test_one_more_dealt_shuffle_is_the_next_count(self, n, times):
+        for closed, deal in ((in_shuffled, perfect_in_shuffle), (monge_shuffled, monge_shuffle)):
+            after = deal(Deck(tuple(closed(2 * n, times))))
+            assert list(after.order) == closed(2 * n, times + 1)
 
 
 class TestQuadSurd:
