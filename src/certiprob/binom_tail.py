@@ -316,7 +316,11 @@ class SeriesNotConvergedError(ArithmeticError):
     """Hypergeometric series failed to shrink within the term budget."""
 
 
-def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
+# terms bahadur_tail sums before it gives up on a series still growing
+BAHADUR_MAX_TERMS = 10**7
+
+
+def bahadur_tail(n: int, j: int, p) -> float:
     """P(S_n >= j) via the closed hypergeometric form.
 
     Evaluates lead * q * F(n+1, 1; j+1; p) where lead = C(n,j) p^j q^(n-j)
@@ -339,9 +343,9 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
     exponent = 0  # running sum is total * 2**exponent
     # n + 1 + k and j + 1 + k after k terms, kept as floats (exact below
     # 2**53) so each term is float * float; bottom reaches stop after
-    # max_terms terms.
+    # BAHADUR_MAX_TERMS terms.
     top, bottom = float(n + 1), float(j + 1)
-    stop = float(min(j + 1 + max_terms, 2**53))
+    stop = float(min(j + 1 + BAHADUR_MAX_TERMS, 2**53))
     while True:
         t *= pflt * top / bottom
         total += t
@@ -355,7 +359,7 @@ def bahadur_tail(n: int, j: int, p, max_terms: int = 10**7) -> float:
             exponent += 512
         if bottom >= stop:
             raise SeriesNotConvergedError(
-                f"series still growing after {max_terms} terms "
+                f"series still growing after {BAHADUR_MAX_TERMS} terms "
                 f"(n={n}, j={j}, p={p!r}); fall back to binom_tail_exact"
             )
     log_val = lead_log + math.log1p(-pflt) + math.log(total) + exponent * math.log(2.0)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 _C_FROM_M_TOL = 1e-15
 # samples per seeded chunk; a seed's estimate depends on it
 _MC_CHUNK = 20_000
@@ -125,6 +123,8 @@ def _summed_exceedances(u, t: float) -> int:
     """Rows of the (k, n) block u of uniform [0, 1) draws whose sum of
     2u - 1 exceeds t in absolute value, each row summed by the expression
     (2u - 1).sum(axis=1) on that (k, n) shape."""
+    import numpy as np
+
     return int(np.count_nonzero(np.abs((2.0 * u - 1.0).sum(axis=1)) > t))
 
 
@@ -167,6 +167,8 @@ def mc_abs_sum_tail(
         raise ValueError(f"samples must be positive, got {samples}")
     if math.isnan(t):
         raise ValueError("t must be a number, got nan")
+    import numpy as np
+
     master = np.random.SeedSequence(seed)
     children = master.spawn(math.ceil(samples / _MC_CHUNK))
     # no block holds more rows than a chunk or the run has, so neither does the buffer

@@ -5,8 +5,10 @@ Four loosely related classics, all with exact integer backbones:
 * perfect in-shuffles move card i to position 2i mod (2n+1), so the
   recycling count of a 2n-card deck is the multiplicative order of 2
   modulo 2n+1, found from a factorization by trial division and Brent's
-  rho whose every factor is certified prime by deterministic Miller-Rabin
-  or by trial division to its square root; the over-under (Monge)
+  rho whose every factor is certified prime by trial division or by
+  deterministic Miller-Rabin below about 3.3e24 (a modulus with a prime
+  factor past that bound, or a composite factor rho cannot split, is
+  refused with ArithmeticError); the over-under (Monge)
   shuffle restores 2n cards after the least k with 2^k = +-1 modulo
   4n+1, read off the same order computation for 4n+1.  A deck after any
   number of either shuffle is read off one power of 2, not dealt;
@@ -40,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .numerics import _as_fraction
 
@@ -174,16 +174,6 @@ def _brent_rho(n: int):
     return None
 
 
-def _least_factor(x: int, f: int) -> int:
-    """Least prime factor of x, by trial division from the odd f up; x
-    has no factor below f."""
-    while f * f <= x:
-        if x % f == 0:
-            return f
-        f += 2
-    return x
-
-
 def _factorize(m: int) -> dict:
     """Prime factorization with every factor certified.
 
@@ -193,8 +183,11 @@ def _factorize(m: int) -> dict:
     it into two parts checked by multiplication, each factored in turn: a
     product of two 1e10 primes costs about 1e5 rho steps, not 5e9 trial
     divisions.  One that passes every base is prime below Sorenson and
-    Webster's bound of about 3.3e24; at or above it, trial division finds
-    its least factor or proves it prime: no factor rests on a probable one.
+    Webster's bound of about 3.3e24.  ArithmeticError refuses a cofactor
+    that passes every base at or above that bound, which nothing here can
+    certify, and a composite that rho cannot split (trial division toward
+    the square root of either would take upward of 1e12 steps): no factor
+    rests on a probable one.
     """
     factors: Counter = Counter()
     x, f = m, 2
@@ -214,8 +207,12 @@ def _factorize(m: int) -> dict:
         probable = _strong_probable_prime(x)
         if f * f > x or (probable and x < _MR_BOUND):
             d = x
-        else:
-            d = (None if probable else _brent_rho(x)) or _least_factor(x, f)
+        elif probable:
+            raise ArithmeticError(
+                f"{x} is a probable prime at or above {_MR_BOUND}, past certification"
+            )
+        elif (d := _brent_rho(x)) is None:
+            raise ArithmeticError(f"Brent's rho found no divisor of the composite {x}")
         if d == x:
             factors[x] += 1
         elif 1 < d < x and d * (x // d) == x:
@@ -290,23 +287,6 @@ def monge_shuffled(two_n: int, times: int) -> list:
     m = 2 * two_n + 1
     step = pow(2, times, m)
     return [max(x, m - x) - two_n for x in (y * step % m for y in range(two_n + 1, m))]
-
-
-def full_cycle_shuffle_stats(max_deck: int):
-    """Survey decks 2n <= max_deck with 2n+1 prime: how often is the
-    shuffle order maximal (= 2n)?  A statistics report, nothing more; no
-    claim about the infinite pattern is implied.
-    """
-    hits, total = 0, 0
-    sizes = []
-    for two_n in range(2, max_deck + 1, 2):
-        m = two_n + 1
-        if _certified_prime(m):
-            total += 1
-            if shuffle_order(two_n) == two_n:
-                hits += 1
-                sizes.append(two_n)
-    return {"prime_modulus_decks": total, "full_cycle_decks": hits, "sizes": sizes}
 
 
 # --------------------------------------------------------------------------
@@ -393,16 +373,32 @@ Alpha = Union[QuadSurd, Fraction, float]
 _WINDOW = 1 << 15
 
 
+def _check_generator(alpha: Alpha) -> None:
+    """Refuse alpha <= 1, decided exactly: float(alpha) rounds a generator
+    such as 2^54 / (2^54 - 1) down to 1.0."""
+    if isinstance(alpha, QuadSurd):
+        above = alpha.floor_times(1) >= 1  # irrational, so never exactly 1
+    else:
+        above = alpha > 1  # ints, floats and Fractions compare exactly; nan fails
+    if not above:
+        raise ValueError(f"alpha must exceed 1, got {alpha!r}")
+
+
 def _floors(alpha: Alpha, horizon: int, start: int = 1):
     """floor(n*alpha) <= horizon for n = start, start + 1, ..., exactly.
 
     Float multiples are taken as first guesses; the entries too close to
     an integer to trust are recomputed by the exact floor of a QuadSurd,
-    or of the exact rational a Fraction, int or float alpha is.
+    or of the exact rational a Fraction, int or float alpha is.  Guesses
+    and exact floors are capped at horizon + 1 before they are stored as
+    int64, so a generator past 2^63 cannot overflow the store; floors past
+    the horizon are never returned.
     """
+    import numpy as np
+
     a = float(alpha)
-    if a <= 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha!r}")
+    if not a > 1:  # a rounds correctly, so a > 1 already proves alpha > 1
+        _check_generator(alpha)
     last = int(horizon / a) + 2  # past the last n with floor(n*alpha) <= horizon
     prod = np.arange(start, last + 1, dtype=np.float64)
     prod *= a
@@ -414,14 +410,15 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     # has the right floor
     margin = last * 8e-16 * a
     suspicious = np.nonzero((prod < margin) | (prod > 1 - margin))[0]
-    guess = floors.astype(np.int64)
+    cap = horizon + 1
+    guess = np.minimum(floors, cap, out=floors).astype(np.int64)
     if isinstance(alpha, QuadSurd):
         exact_floor = alpha.floor_times
     else:
         af = _as_fraction(alpha)  # floats convert exactly
         exact_floor = lambda m: m * af.numerator // af.denominator
     for i in suspicious:
-        guess[i] = exact_floor(int(i) + start)
+        guess[i] = min(exact_floor(int(i) + start), cap)
     # the floors increase strictly, as n >= 1 and alpha > 1
     return guess[: np.searchsorted(guess, horizon, side="right")]
 
@@ -442,6 +439,8 @@ def _hits(generators: Sequence[Alpha], horizon: int):
     a repeated index would be added once, not twice, but _floors returns
     strictly increasing floors for alpha > 1, so no index repeats.
     """
+    import numpy as np
+
     cursors = [1] * len(generators)
     buffer = np.empty(_WINDOW, dtype=np.int8)
     for lo in range(1, horizon + 1, _WINDOW):
@@ -494,10 +493,11 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
     where both the first missing and the first doubly hit integer are
     known, so a rational alpha = a/b stops near its numerator a.
     """
+    import numpy as np
+
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if not float(alpha) > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha!r}")
+    _check_generator(alpha)
     if isinstance(alpha, QuadSurd):
         beta: Alpha = alpha.pair_partner()
     else:
@@ -541,6 +541,8 @@ def triple_spectrum_search(alphas: Sequence[Alpha], horizon: int) -> TripleWitne
     holds one, and if the horizon is exhausted without one it reports
     inconclusive rather than claiming success.
     """
+    import numpy as np
+
     if len(alphas) != 3:
         raise ValueError(f"need exactly three generators, got {len(alphas)}")
     for lo, counts in _hits(alphas, horizon):
@@ -658,7 +660,6 @@ __all__ = [
     "monge_order",
     "in_shuffled",
     "monge_shuffled",
-    "full_cycle_shuffle_stats",
     "QuadSurd",
     "Spectrum",
     "spectrum",

@@ -141,7 +141,8 @@ def expected_D(trials: TrialMatrix):
 
         D = [sum_ij p_ij(1-p_ij) + s^2 sum_i (p_i - p_bar)^2] / (N p_bar (1-p_bar))
 
-    which is the unambiguous form the three-term display below reduces to.
+    which is the unambiguous form the three-term display reduces to (the
+    test suite's expected_D_three_term).
     """
     pbar = trials.grand_mean()
     if not 0 < pbar < 1:
@@ -152,26 +153,6 @@ def expected_D(trials: TrialMatrix):
     shift_sum = sum((x - pbar) ** 2 for x in pi)
     D = (var_sum + s * s * shift_sum) / (trials.N * pbar * (1 - pbar))
     return D, _classify(trials)
-
-
-def expected_D_three_term(trials: TrialMatrix):
-    """The equivalent three-term decomposition of D = E(Q):
-
-        D = 1 + (s-1)/(n p(1-p)) * sum_{i=1}^{n} (p - p_i)^2
-              -      1/(N p(1-p)) * sum_{i,j} (p_i - p_ij)^2
-
-    (The between-series sum runs over the n series.)  Kept as a separate
-    entry point so the algebraic identity with expected_D is testable.
-    """
-    pbar = trials.grand_mean()
-    if not 0 < pbar < 1:
-        raise ValueError(f"grand mean must lie strictly in (0, 1), got {pbar!r}")
-    n, s, N = trials.n, trials.s, trials.N
-    pi = trials.row_means()
-    between = sum((pbar - x) ** 2 for x in pi)
-    within = sum((pi[i] - x) ** 2 for i, r in enumerate(trials.p) for x in r)
-    denom = pbar * (1 - pbar)
-    return 1 + (s - 1) * between / (n * denom) - within / (N * denom)
 
 
 def empirical_Q_hat(counts: CountVector):
@@ -242,7 +223,6 @@ __all__ = [
     "DispersionReport",
     "dispersion_Q",
     "expected_D",
-    "expected_D_three_term",
     "empirical_Q_hat",
     "moments_Q_hat",
     "dispersion_report",

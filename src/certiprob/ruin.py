@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import _p_ratio
 
 _FAIRNESS_TOL = 1e-12
@@ -105,6 +103,7 @@ def _absorption_probability(game: RuinGame, tol: float, side: str) -> float:
     """Solve the banded absorption system for the chosen ruin event."""
     if not math.isfinite(tol):  # a nan or inf tol would pass any residual
         raise ValueError(f"tol must be finite, got {tol!r}")
+    import numpy as np
     from scipy.linalg import solve_banded  # scipy loads on the first solve only
 
     # float once: a Fraction p would turn p * ndarray into an object array
@@ -146,8 +145,8 @@ def ruin_exact_chain(game: RuinGame, tol: float = 1e-10) -> float:
     Banded LU over the a+b-alpha-beta+1 transient states: O((a+b) *
     alpha * (alpha+beta)) time and O((a+b) * (2*alpha+beta)) memory, so
     sizes well past 1e4 pose no problem with small stakes; tol is the
-    certified residual threshold of the solve.  scipy is imported on the
-    first call, not with the package.
+    certified residual threshold of the solve.  numpy and scipy are
+    imported on the first call, not with the package.
     """
     return _absorption_probability(game, tol, side="A")
 
@@ -167,6 +166,8 @@ def ruin_root_equation(game: RuinGame):
     For |z| > 1 that ratio is formed at 1/z, so roots far outside the unit
     circle do not overflow it.
     """
+    import numpy as np
+
     alpha, beta, p, q = game.alpha, game.beta, float(game.p), float(game.q)
     deg = alpha + beta
     coeffs = np.zeros(deg + 1)

@@ -229,37 +229,12 @@ def run_prob_oracle(spec: RunSpec):
     return _ratio(seen, d**n)
 
 
-def gf_series_coefficients(r: int, p, count: int):
-    """First `count` power-series coefficients of the no-run generating
-    function (1 - p^r xi^r) / (1 - xi + q p^r xi^(r+1)), by direct
-    polynomial long division.  Coefficient m is z_m.
-    """
-    if r < 1 or count < 0:
-        raise ValueError("need r >= 1 and count >= 0")
-    q = 1 - p
-    num = {0: 1 + 0 * p, r: -(p**r)}
-    den = {0: 1 + 0 * p, 1: -(1 + 0 * p), r + 1: q * p**r}
-    out = []
-    rem = dict(num)
-    for m in range(count):
-        cm = rem.get(m, 0 * p)
-        out.append(cm)
-        if cm != 0:
-            for e, coef in den.items():
-                if e == 0:
-                    continue
-                rem[m + e] = rem.get(m + e, 0 * p) - cm * coef
-        rem.pop(m, None)
-    return out
-
-
 __all__ = [
     "RunSpec",
     "run_prob_recursive",
     "run_prob_beta",
     "run_prob_demoivre",
     "run_prob_oracle",
-    "gf_series_coefficients",
     "CancellationError",
     "BETA_TOL",
 ]

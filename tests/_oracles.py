@@ -6,7 +6,11 @@ raw bitmask enumeration, Wythoff positions from retrograde game solving,
 partition counts from a coin-style dynamic program, and reference logs
 from 50-digit arithmetic.  Two are plain versions of a fast kernel, kept
 to pin its bits: the Monte Carlo block loop, which draws uniform(-1, 1)
-and sums every row, and the Beatty window counts by bincount.
+and sums every row, and the Beatty window counts by bincount.  Three are
+second forms of a package result that only the tests call: the no-run
+generating function's coefficients by long division, the three-term
+form of E(Q), and a survey of full-cycle shuffle orders (which calls
+shuffle_order).
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from certiprob.gems import _certified_prime, shuffle_order
+from certiprob.lexis import TrialMatrix
 
 mpmath.mp.dps = 50
 
@@ -127,6 +134,30 @@ def run_prob_enumeration(n: int, r: int, p, table=None) -> Fraction:
     return Fraction(total, den**n)
 
 
+def gf_series_coefficients(r: int, p, count: int):
+    """First `count` power-series coefficients of the no-run generating
+    function (1 - p^r xi^r) / (1 - xi + q p^r xi^(r+1)), by direct
+    polynomial long division.  Coefficient m is z_m.
+    """
+    if r < 1 or count < 0:
+        raise ValueError("need r >= 1 and count >= 0")
+    q = 1 - p
+    num = {0: 1 + 0 * p, r: -(p**r)}
+    den = {0: 1 + 0 * p, 1: -(1 + 0 * p), r + 1: q * p**r}
+    out = []
+    rem = dict(num)
+    for m in range(count):
+        cm = rem.get(m, 0 * p)
+        out.append(cm)
+        if cm != 0:
+            for e, coef in den.items():
+                if e == 0:
+                    continue
+                rem[m + e] = rem.get(m + e, 0 * p) - cm * coef
+        rem.pop(m, None)
+    return out
+
+
 # --------------------------------------------------------------------------
 # dispersion
 
@@ -197,6 +228,26 @@ def expected_q_enumeration(matrix):
     return mean_q / (N * p_bar * (1 - p_bar))
 
 
+def expected_D_three_term(trials: TrialMatrix):
+    """The equivalent three-term decomposition of D = E(Q):
+
+        D = 1 + (s-1)/(n p(1-p)) * sum_{i=1}^{n} (p - p_i)^2
+              -      1/(N p(1-p)) * sum_{i,j} (p_i - p_ij)^2
+
+    (The between-series sum runs over the n series.)  Kept as a separate
+    entry point so the algebraic identity with expected_D is testable.
+    """
+    pbar = trials.grand_mean()
+    if not 0 < pbar < 1:
+        raise ValueError(f"grand mean must lie strictly in (0, 1), got {pbar!r}")
+    n, s, N = trials.n, trials.s, trials.N
+    pi = trials.row_means()
+    between = sum((pbar - x) ** 2 for x in pi)
+    within = sum((pi[i] - x) ** 2 for i, r in enumerate(trials.p) for x in r)
+    denom = pbar * (1 - pbar)
+    return 1 + (s - 1) * between / (n * denom) - within / (N * denom)
+
+
 # --------------------------------------------------------------------------
 # ruin
 
@@ -248,14 +299,20 @@ def wythoff_cold_retrograde(limit: int):
 
 
 def lln_alpha_mpmath(p, eps, eta) -> int:
-    """ceil(ln eta / ln(p/(p+eps))) at 60 digits, from the exact rationals.
+    """ceil(ln eta / ln(p/(p+eps))) from the exact rationals, each log
+    formed as log(numerator) - log(denominator).
 
-    Refuses a quotient within 1e-30 of an integer, where 60 digits could
-    not settle the ceiling.
+    That difference cancels as a ratio a/b nears 1: |ln(a/b)| > 1/b, so
+    it loses at most about as many digits as b has, and the quotient's
+    integer part takes about as many again.  The working precision is 60
+    digits plus twice the digits of the ratio's denominator plus those of
+    eta's.  Refuses a quotient within 1e-30 of an integer, where that
+    precision could not settle the ceiling.
     """
     ratio = as_fraction(p) / (as_fraction(p) + as_fraction(eps))
     eta = as_fraction(eta)
-    with mpmath.workdps(60):
+    digits = 2 * len(str(ratio.denominator)) + len(str(eta.denominator))
+    with mpmath.workdps(60 + digits):
         log = lambda q: mpmath.log(q.numerator) - mpmath.log(q.denominator)
         x = log(eta) / log(ratio)
         assert abs(x - mpmath.nint(x)) > mpmath.mpf(10) ** -30, "too close to an integer"
@@ -300,6 +357,27 @@ def mc_abs_sum_tail_blocks(n: int, t: float, seed: int, samples: int,
     p_hat = exceed / samples
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     return p_hat, se
+
+
+# --------------------------------------------------------------------------
+# shuffles
+
+
+def full_cycle_shuffle_stats(max_deck: int):
+    """Survey decks 2n <= max_deck with 2n+1 prime: how often is the
+    shuffle order maximal (= 2n)?  A statistics report, nothing more; no
+    claim about the infinite pattern is implied.
+    """
+    hits, total = 0, 0
+    sizes = []
+    for two_n in range(2, max_deck + 1, 2):
+        m = two_n + 1
+        if _certified_prime(m):
+            total += 1
+            if shuffle_order(two_n) == two_n:
+                hits += 1
+                sizes.append(two_n)
+    return {"prime_modulus_decks": total, "full_cycle_decks": hits, "sizes": sizes}
 
 
 # --------------------------------------------------------------------------

@@ -377,13 +377,15 @@ class TestBahadurTail:
         with pytest.raises(ValueError):
             bahadur_tail(10, 11, 0.5)
 
-    def test_not_converged_error(self):
+    def test_not_converged_error(self, monkeypatch):
+        from certiprob import binom_tail
         from certiprob.binom_tail import SeriesNotConvergedError
 
         # p near 1 with j far below the mean: terms grow for thousands of
         # steps, so a tiny budget must trip the explicit failure
-        with pytest.raises(SeriesNotConvergedError):
-            bahadur_tail(50, 1, 0.99, max_terms=10)
+        monkeypatch.setattr(binom_tail, "BAHADUR_MAX_TERMS", 10)
+        with pytest.raises(SeriesNotConvergedError, match="after 10 terms"):
+            bahadur_tail(50, 1, 0.99)
 
 
 class TestPingPongChain:

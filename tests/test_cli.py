@@ -202,6 +202,14 @@ class TestSubcommands:
         assert code == 0
         assert env["result"]["order"] == 18372570332522
 
+    def test_prime_factor_past_the_bound_refused(self, capsys):
+        # 2n+1 = 10^25 + 13 is prime and past the Miller-Rabin bound: it
+        # is refused at once, not trial-divided toward its square root
+        code, env = run_json(capsys, "shuffle", "order", "--deck", str(10**25 + 12))
+        assert code == 1
+        assert env["error"]["type"] == "ArithmeticError"
+        assert str(10**25 + 13) in env["error"]["message"]
+
     def test_runs_agreeing_methods(self, capsys):
         _, env = run_json(capsys, "runs", "--n", "4", "--r", "2", "--p", "1/2")
         assert set(env["result"].values()) == {0.5}
@@ -232,6 +240,12 @@ class TestSubcommands:
         )
         assert code == 0
         assert env["result"]["Q_hat"] == pytest.approx(1.0)
+
+    def test_lexis_degenerate_pooled_frequency_warns(self, capsys):
+        code, env = run_json(capsys, "lexis", "qhat", "--m", "0,0,0", "--s", "3")
+        assert code == 0
+        assert env["result"]["Q_hat"] == 1.0
+        assert env["warnings"] == ["degenerate pooled frequency: Q_hat = 1 by definition"]
 
     def test_lexis_matrix_csv(self, capsys, tmp_path):
         matrix = tmp_path / "probs.csv"
@@ -335,6 +349,14 @@ class TestSubcommands:
         assert code == 0
         assert env["result"]["disjoint"] is False
         assert env["result"]["covers"] is False
+
+    @pytest.mark.parametrize("alpha", ["18014398509481984", "10000000000000000000"])
+    def test_beatty_generator_far_above_one(self, capsys, alpha):
+        # the partner a/(a - 1) rounds to the float 1.0, and from 2^63 up
+        # the floors past the horizon overflowed an int64 store
+        code, env = run_json(capsys, "beatty", "pair", "--alpha", alpha, "--horizon", "10")
+        assert code == 0
+        assert env["result"]["disjoint"] and env["result"]["covers"]
 
     def test_beatty_triple(self, capsys):
         _, env = run_json(

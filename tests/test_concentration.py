@@ -187,7 +187,7 @@ class TestMonteCarloHarness:
         def no_generator(*args, **kwargs):
             raise AssertionError("a generator was made")
 
-        monkeypatch.setattr(concentration.np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
             mc_abs_sum_tail(n, 1.0, seed=1)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -16,7 +17,6 @@ from certiprob.gems import (
     Deck,
     QuadSurd,
     beatty_pair_check,
-    full_cycle_shuffle_stats,
     in_shuffled,
     monge_order,
     monge_shuffle,
@@ -33,6 +33,7 @@ from certiprob.gems import (
 from _oracles import (
     beatty_hits_bincount,
     floor_mult_reference,
+    full_cycle_shuffle_stats,
     partition_table_dp,
     wythoff_cold_retrograde,
 )
@@ -240,17 +241,12 @@ class TestCertifiedPrime:
             if r % prime == 0:
                 assert pow(2, r // prime, m) != 1
 
-    def test_composite_past_the_bound_split_by_rho(self, monkeypatch):
+    def test_composite_past_the_bound_split_by_rho(self):
         # m is past _MR_BOUND, but it fails a base, so rho splits it; trial
         # division toward 2**31 - 1 would take about 1e9 steps
         primes = (1000003, 2**31 - 1, 2**61 - 1)
         m = math.prod(primes)
         assert m > gems._MR_BOUND
-
-        def no_trial_division(x, f):
-            raise AssertionError(f"trial division of {x}")
-
-        monkeypatch.setattr(gems, "_least_factor", no_trial_division)
         assert gems._factorize(m) == dict.fromkeys(primes, 1)
         r = shuffle_order(m - 1)
         assert r == 1891003782
@@ -258,6 +254,31 @@ class TestCertifiedPrime:
         assert pow(2, r, m) == 1
         for prime in factorize_by_trial_division(r):
             assert pow(2, r // prime, m) != 1
+
+
+class TestUncertifiableFactor:
+    """What nothing here can certify is refused at once, not trial-divided
+    toward a square root of 1e12 or more."""
+
+    @pytest.mark.parametrize("order, two_n", [(shuffle_order, 10**25 + 12),
+                                              (monge_order, 5 * 10**24 + 6)])
+    def test_prime_past_the_bound_refused(self, order, two_n):
+        m = 10**25 + 13  # prime, and the modulus of both decks
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=f"^{m} is .*{gems._MR_BOUND}"):
+            order(two_n)
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprime_at_the_bound_refused(self):
+        # the bound is composite, yet a strong probable prime to every base
+        with pytest.raises(ArithmeticError, match=f"^{gems._MR_BOUND} is a probable prime"):
+            gems._factorize(gems._MR_BOUND)
+
+    def test_composite_rho_cannot_split_refused(self, monkeypatch):
+        m = 1000003 * 3000017
+        monkeypatch.setattr(gems, "_brent_rho", lambda x: None)
+        with pytest.raises(ArithmeticError, match=f"no divisor of the composite {m}$"):
+            gems._factorize(m)
 
 
 class TestShuffleOrderLarge:
@@ -524,6 +545,25 @@ def test_floors_equal_exact_floors(alpha, horizon, start):
     assert gems._floors(alpha, horizon).tolist() == want
     # from a start index on, past the last floor too
     assert gems._floors(alpha, horizon, start).tolist() == want[start - 1:]
+
+
+@pytest.mark.parametrize("alpha", [
+    2.0**54,  # its partner 2^54 / (2^54 - 1) rounds to the float 1.0
+    10**19,  # past 2^63: the floors past the horizon do not fit an int64
+    1e19,
+    Fraction(10**30, 7),
+    QuadSurd(10**19, 1, 2),
+], ids=["2^54", "10^19", "1e19", "10^30/7", "10^19+sqrt2"])
+def test_generators_far_above_one(alpha):
+    horizon = 50
+    partner = exact_partner(alpha)
+    for g in (alpha, partner):
+        assert gems._floors(g, horizon).tolist() == exact_floors(g, horizon)
+    assert exact_floors(alpha, horizon) == []
+    report = beatty_pair_check(alpha, horizon)
+    assert report.beta == partner
+    # the partner's spectrum is 1, 2, ..., horizon: a tiling
+    assert (report.disjoint, report.covers) == (True, True)
 
 
 def brute_force_hits(alphas, horizon):

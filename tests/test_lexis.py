@@ -18,11 +18,15 @@ from certiprob.lexis import (
     dispersion_report,
     empirical_Q_hat,
     expected_D,
-    expected_D_three_term,
     moments_Q_hat,
 )
 
-from _oracles import expected_q_enumeration, q_hat_moments_enumeration, q_hat_of_counts
+from _oracles import (
+    expected_D_three_term,
+    expected_q_enumeration,
+    q_hat_moments_enumeration,
+    q_hat_of_counts,
+)
 
 
 class TestDispersionQ:

@@ -77,11 +77,19 @@ class TestBernoulliAlpha:
 
 
 class TestBernoulliAlphaSmallEps:
-    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, Fraction(1, 10**7), Fraction(1, 10**20)])
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, Fraction(1, 10**7), Fraction(1, 10**20),
+                                     1e-40, Fraction(1, 10**40)])
     def test_matches_mpmath(self, eps):
-        # alpha runs to 10^5 .. 10^20, past where exact powers are affordable
+        # alpha runs to 10^5 .. 10^40, past where exact powers are affordable
         q = LlnQuery(Fraction(1, 2), eps, Fraction(1, 10))
         assert bernoulli_alpha(q) == lln_alpha_mpmath(q.p, q.eps, q.eta)
+
+    def test_ln_ratio_rounds_to_zero_at_first(self):
+        # at 32 digits the ratio rounds to 1 and its log to 0, which does
+        # not bound x; the precision doubles until it does.  150-digit
+        # mpmath gives x = ...038006.6587
+        q = LlnQuery(Fraction(1, 2), Fraction(1, 10**40), Fraction(1, 10))
+        assert bernoulli_alpha(q) == 11512925464970228420089957273421821038007
 
     @pytest.mark.parametrize("k", [1, 2, 5, 13, 40])
     def test_eta_an_exact_power_of_the_ratio(self, k):

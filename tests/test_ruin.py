@@ -160,9 +160,17 @@ class TestExactChain:
             solve(RuinGame(6, 4, 2, 3, 0.55), tol=tol)
 
     def test_scipy_loads_on_first_solve_only(self):
+        # numpy loads on first use too: a whole tail command runs without
+        # either, a Beatty check loads numpy alone, the chain loads scipy
         code = (
-            "import sys, certiprob, certiprob.cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+            "import contextlib, io, sys, certiprob, certiprob.cli\n"
+            "assert not {'numpy', 'scipy'} & set(sys.modules), 'loaded on import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = certiprob.cli.main(['tail', '--n', '200', '--l', '80', '--p', '0.3'])\n"
+            "assert status == 0\n"
+            "assert not {'numpy', 'scipy'} & set(sys.modules), 'loaded by tail'\n"
+            "assert certiprob.beatty_pair_check(certiprob.QuadSurd.golden(), 100).ok\n"
+            "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
             "y = certiprob.ruin_exact_chain(certiprob.RuinGame(5, 5, 1, 1, 0.5))\n"
             "assert abs(y - 0.5) < 1e-12 and 'scipy' in sys.modules\n"
         )

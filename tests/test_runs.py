@@ -27,14 +27,13 @@ from certiprob.runs import (
     BETA_TOL,
     CancellationError,
     RunSpec,
-    gf_series_coefficients,
     run_prob_beta,
     run_prob_demoivre,
     run_prob_oracle,
     run_prob_recursive,
 )
 
-from _oracles import run_count_table, run_prob_enumeration
+from _oracles import gf_series_coefficients, run_count_table, run_prob_enumeration
 
 ALL_METHODS = (run_prob_recursive, run_prob_beta, run_prob_demoivre, run_prob_oracle)
 
