@@ -8,19 +8,24 @@ decimals; rational inputs reach the exact arithmetic paths untouched.
 One table drives the command line.  A subcommand is one COMMANDS row,
 keyed by its path ("tail",) or ("ruin", "exact"), holding its help, its
 argument specs, its provenance and a handler.  The handler takes the
-parsed arguments and returns (inputs, result, warnings); build_parser
-builds every parser from the table and main wraps what the handler
-returns in the envelope.  The parser is built on the first main call
-and shared by every later call in the process.
+parsed arguments and returns (inputs, result); build_parser builds every
+parser from the table and main wraps what the handler returns in the
+envelope.  The parser is built on the first main call and shared by
+every later call in the process.
+
+Warnings have one channel, Python's warnings module: a handler issues
+its own notes with warnings.warn, as the library and numpy do, and main
+records every one in the envelope's warnings, success or error, in the
+order they were emitted.
 
 Exit codes: 0 success, 1 domain/numeric error, unreadable input file or
 refused memory allocation (structured error envelope on stdout) or a
 failed self-check (`runs --method all` methods that disagree: the
 envelope keeps its result and names the gap in warnings), 2 usage error
-(argparse diagnostic on stderr).  JSON has no form for inf or nan, so
-render refuses an envelope that holds one with NonFiniteResultError
-(exit 1), in every format; an error envelope echoes such an argument as
-its repr string.
+(argparse diagnostic on stderr).  stderr carries nothing but argparse's
+usage diagnostics.  JSON has no form for inf or nan, so render refuses
+an envelope that holds one with NonFiniteResultError (exit 1), in every
+format; an error envelope echoes such an argument as its repr string.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ def render(envelope: dict, fmt: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# handlers: parsed arguments -> (inputs, result, warnings)
+# handlers: parsed arguments -> (inputs, result); warnings go through warnings.warn
 
 
 def _tol(args, default):
@@ -170,6 +175,9 @@ def _tail(args):
     query = binom_tail.TailQuery(n=args.n, l=args.l, p=args.p)
     bracket = binom_tail.bracket_tail(query, tol=tol, k_max=args.kmax)
     exact = numerics.binom_tail_exact(args.n, args.l, args.p)
+    if not bracket.converged:
+        warnings.warn("tolerance below the rounding floor of the bracket" if args.kmax is None
+                      else "tolerance not reached before k_max")
     return (
         {"n": args.n, "l": args.l, "p": args.p, "tol": tol, "kmax": args.kmax},
         {
@@ -180,10 +188,6 @@ def _tail(args):
             "lead_term_log": bracket.lead_term_log,
             "exact": exact,
         },
-        [] if bracket.converged else [
-            "tolerance below the rounding floor of the bracket" if args.kmax is None
-            else "tolerance not reached before k_max"
-        ],
     )
 
 
@@ -197,7 +201,6 @@ def _lln_bernoulli(args):
             "n_bound": n_bound,
             "upper_count_at_n": lln_bounds.upper_count(n_bound, query),
         },
-        [],
     )
 
 
@@ -214,16 +217,15 @@ def _counts(args) -> lexis.CountVector:
 def _lexis_q(args):
     counts = _counts(args)
     value = lexis.dispersion_Q(counts, args.p)
-    return {"m": list(counts.m), "s": args.s, "p": args.p}, {"Q": float(value)}, []
+    return {"m": list(counts.m), "s": args.s, "p": args.p}, {"Q": float(value)}
 
 
 def _lexis_qhat(args):
     counts = _counts(args)
     value = lexis.empirical_Q_hat(counts)
-    warn = []
     if counts.M in (0, counts.N):
-        warn.append("degenerate pooled frequency: Q_hat = 1 by definition")
-    return {"m": list(counts.m), "s": args.s}, {"Q_hat": float(value)}, warn
+        warnings.warn("degenerate pooled frequency: Q_hat = 1 by definition")
+    return {"m": list(counts.m), "s": args.s}, {"Q_hat": float(value)}
 
 
 def _lexis_moments(args):
@@ -236,14 +238,13 @@ def _lexis_moments(args):
             "bound1": float(bound1),
             "bound2": None if bound2 is None else float(bound2),
         },
-        [],
     )
 
 
 def _lexis_d(args):
     trials = lexis.TrialMatrix(p=read_matrix_csv(args.matrix_csv))
     D, regime = lexis.expected_D(trials)
-    return {"n": trials.n, "s": trials.s}, {"D": float(D), "regime": regime.value}, []
+    return {"n": trials.n, "s": trials.s}, {"D": float(D), "regime": regime.value}
 
 
 RUN_METHODS = {
@@ -255,7 +256,7 @@ RUN_METHODS = {
 
 
 class SelfCheckFailed(Exception):
-    """A handler's own cross-check failed; args are its (inputs, result, warnings)."""
+    """A handler's own cross-check failed; args are its (inputs, result)."""
 
 
 def _runs(args):
@@ -263,15 +264,14 @@ def _runs(args):
     names = list(RUN_METHODS) if args.method == "all" else [args.method]
     inputs = {"n": args.n, "r": args.r, "p": args.p, "method": args.method}
     result = {name: float(RUN_METHODS[name](spec)) for name in names}
-    warn = [
-        f"methods {a} and {b} differ by {abs(result[a] - result[b]):.3g}, "
-        f"above the agreement tolerance {runs.BETA_TOL:g}"
-        for a, b in itertools.combinations(names, 2)
-        if abs(result[a] - result[b]) > runs.BETA_TOL
-    ]
-    if warn:
-        raise SelfCheckFailed(inputs, result, warn)
-    return inputs, result, warn
+    gaps = [(a, b) for a, b in itertools.combinations(names, 2)
+            if abs(result[a] - result[b]) > runs.BETA_TOL]
+    for a, b in gaps:
+        warnings.warn(f"methods {a} and {b} differ by {abs(result[a] - result[b]):.3g}, "
+                      f"above the agreement tolerance {runs.BETA_TOL:g}")
+    if gaps:
+        raise SelfCheckFailed(inputs, result)
+    return inputs, result
 
 
 def _game(args) -> ruin.RuinGame:
@@ -286,7 +286,6 @@ def _ruin_bounds(args):
     return (
         {"a": game.a, "b": game.b, "alpha": game.alpha, "beta": game.beta, "p": args.p},
         {"lower": lower, "upper": upper},
-        [],
     )
 
 
@@ -298,7 +297,6 @@ def _ruin_exact(args):
         {"a": game.a, "b": game.b, "alpha": game.alpha, "beta": game.beta,
          "p": args.p, "tol": tol},
         {"ruin_probability": value},
-        [],
     )
 
 
@@ -307,7 +305,6 @@ def _ruin_roots(args):
     return (
         {"alpha": game.alpha, "beta": game.beta, "p": args.p},
         {"roots": ruin.ruin_root_equation(game)},
-        [],
     )
 
 
@@ -316,7 +313,6 @@ def _bernstein_bound(args):
     return (
         {"B_n_sq": args.b2, "t": args.t, "c": inp.c, "M": args.m_bound},
         {"bound": concentration.bernstein_bound(inp)},
-        [],
     )
 
 
@@ -335,7 +331,6 @@ def _bernstein_check(args):
     return (
         {"family": args.family, "count": args.count, "c": c, "kmax": args.kmax},
         {"holds": report.holds, "failures": report.failures},
-        [],
     )
 
 
@@ -347,7 +342,6 @@ def _bernstein_mc(args):
     return (
         {"n": args.n, "t": args.t, "samples": args.samples, "seed": args.seed},
         {"p_hat": p_hat, "se": se, "bound": concentration.bernstein_bound(inp)},
-        [],
     )
 
 
@@ -370,7 +364,6 @@ def _beatty_pair(args):
             "first_missing": report.first_missing,
             "first_double": report.first_double,
         },
-        [],
     )
 
 
@@ -379,13 +372,12 @@ def _beatty_triple(args):
     return (
         {"alphas": args.alpha, "horizon": args.horizon},
         {"witness": witness.witness, "kind": witness.kind, "inconclusive": witness.inconclusive},
-        [],
     )
 
 
 def _partition_asymptotic(args):
     simple, refined = gems.partition_uspensky(args.n)
-    return {"n": args.n}, {"simple": simple, "refined": refined}, []
+    return {"n": args.n}, {"simple": simple, "refined": refined}
 
 
 # --------------------------------------------------------------------------
@@ -438,14 +430,14 @@ COMMANDS = {
         "P(S_n >= j) via hypergeometric closed form", [_N, _int("--j"), _P],
         ["hypergeometric-closed-form"],
         lambda a: ({"n": a.n, "j": a.j, "p": a.p},
-                   {"value": binom_tail.bahadur_tail(a.n, a.j, a.p)}, [])),
+                   {"value": binom_tail.bahadur_tail(a.n, a.j, a.p)})),
     ("lln", "bernoulli"): (
         "one-sided geometric-blocking bound", [_P, _EPS, _ETA],
         ["geometric-blocking-bound"], _lln_bernoulli),
     ("lln", "cantelli"): (
         "all-following-trials bound", [_EPS, _ETA], ["all-following-trials-bound"],
         lambda a: ({"eps": a.eps, "eta": a.eta},
-                   {"n": lln_bounds.cantelli_n(a.eps, a.eta)}, [])),
+                   {"n": lln_bounds.cantelli_n(a.eps, a.eta)})),
     ("lexis", "q"): (None, _COUNTS + [_P], ["dispersion-coefficient"], _lexis_q),
     ("lexis", "qhat"): (None, _COUNTS, ["plug-in-dispersion"], _lexis_qhat),
     ("lexis", "moments"): (None, [_N, _int("--s"), _P], ["exact-moment-sum"], _lexis_moments),
@@ -479,16 +471,16 @@ COMMANDS = {
         ["seeded-monte-carlo", "exponential-tail-bound"], _bernstein_mc),
     ("shuffle", "order"): (
         None, [_DECK], ["multiplicative-order"],
-        lambda a: ({"deck": a.deck}, {"order": gems.shuffle_order(a.deck)}, [])),
+        lambda a: ({"deck": a.deck}, {"order": gems.shuffle_order(a.deck)})),
     ("shuffle", "perfect"): (
         None, [_DEALT_DECK, _TIMES], ["in-shuffle-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
-                   {"arrangement": gems.in_shuffled(_dealt(a.deck), a.times)}, [])),
+                   {"arrangement": gems.in_shuffled(_dealt(a.deck), a.times)})),
     ("shuffle", "monge"): (
         None, [_DEALT_DECK, _TIMES], ["over-under-permutation"],
         lambda a: ({"deck": a.deck, "times": a.times},
                    {"arrangement": gems.monge_shuffled(_dealt(a.deck), a.times),
-                    "order": gems.monge_order(a.deck)}, [])),
+                    "order": gems.monge_order(a.deck)})),
     ("beatty", "pair"): (
         None,
         [_arg("--alpha", required=True, help="phi | phi2 | sqrt:D | quad:x,y,d | number"),
@@ -500,10 +492,10 @@ COMMANDS = {
         ["exhaustive-scan"], _beatty_triple),
     ("beatty", "wythoff"): (
         None, [_int("--count")], ["golden-ratio-floors"],
-        lambda a: ({"count": a.count}, {"cold_positions": gems.wythoff_cold(a.count)}, [])),
+        lambda a: ({"count": a.count}, {"cold_positions": gems.wythoff_cold(a.count)})),
     ("partition", "exact"): (
         None, [_N], ["pentagonal-recurrence"],
-        lambda a: ({"n": a.n}, {"p_n": gems.partition_exact(a.n)}, [])),
+        lambda a: ({"n": a.n}, {"p_n": gems.partition_exact(a.n)})),
     ("partition", "asymptotic"): (None, [_N], ["asymptotic-formulas"], _partition_asymptotic),
 }
 
@@ -570,33 +562,31 @@ def main(argv=None) -> int:
     _, _, provenance, handler = COMMANDS[path]
     envelope = {"command": " ".join(path)}
     code = 0
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             try:
-                inputs, result, warn = handler(args)
+                inputs, result = handler(args)
             except SelfCheckFailed as exc:
-                (inputs, result, warn), code = exc.args, 1
-        envelope.update(inputs=inputs, result=result,
-                        provenance=list(result if provenance is None else provenance),
-                        warnings=warn)
-        text = render(envelope, args.format)
-    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
-        # The error envelope echoes the parsed arguments, leaving out the
-        # path, --format, and the global --seed and --tol when not given;
-        # an inf or nan argument is echoed as its repr string.
-        inputs = {
-            k: repr(v) if _non_finite(v) else v for k, v in vars(args).items()
-            if k not in ("cmd", "sub", "format")
-            and not (v is None and k in ("seed", "global_tol"))
-        }
-        envelope.update(inputs=inputs, result=None, provenance=[], warnings=[],
-                        error={"type": type(exc).__name__, "message": str(exc)})
-        print(render(envelope, args.format))
-        return 1
+                (inputs, result), code = exc.args, 1
+            envelope.update(inputs=inputs, result=result,
+                            provenance=list(result if provenance is None else provenance),
+                            warnings=[str(w.message) for w in caught])
+            text = render(envelope, args.format)
+        except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+            # The error envelope echoes the parsed arguments, leaving out the
+            # path, --format, and the global --seed and --tol when not given;
+            # an inf or nan argument is echoed as its repr string.
+            inputs = {
+                k: repr(v) if _non_finite(v) else v for k, v in vars(args).items()
+                if k not in ("cmd", "sub", "format")
+                and not (v is None and k in ("seed", "global_tol"))
+            }
+            envelope.update(inputs=inputs, result=None, provenance=[],
+                            warnings=[str(w.message) for w in caught],
+                            error={"type": type(exc).__name__, "message": str(exc)})
+            text, code = render(envelope, args.format), 1
     print(text)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
     return code
 
 

@@ -19,7 +19,9 @@ Four loosely related classics, all with exact integer backbones:
   consecutive integers, so they hold O(window) memory at any horizon, and
   stop at the first window that settles the answer: a triple's witness or
   a rational pair's collision usually ends the scan early, while an
-  irrational pair still scans the whole horizon;
+  irrational pair still scans the whole horizon.  A generator that is not
+  above 1 or is infinite, and a horizon of 2^63 - 1 or more, are refused
+  with ValueError;
 * the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2)),
   read off the golden-ratio spectrum;
 * partition counts p(n) by the pentagonal-number recurrence, summed over
@@ -374,14 +376,16 @@ _WINDOW = 1 << 15
 
 
 def _check_generator(alpha: Alpha) -> None:
-    """Refuse alpha <= 1, decided exactly: float(alpha) rounds a generator
-    such as 2^54 / (2^54 - 1) down to 1.0."""
+    """Refuse alpha <= 1, decided exactly (float(alpha) rounds a generator
+    such as 2^54 / (2^54 - 1) down to 1.0), and an infinite alpha."""
     if isinstance(alpha, QuadSurd):
         above = alpha.floor_times(1) >= 1  # irrational, so never exactly 1
     else:
         above = alpha > 1  # ints, floats and Fractions compare exactly; nan fails
     if not above:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
+    if alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
 
 
 def _floors(alpha: Alpha, horizon: int, start: int = 1):
@@ -392,14 +396,19 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     or of the exact rational a Fraction, int or float alpha is.  Guesses
     and exact floors are capped at horizon + 1 before they are stored as
     int64, so a generator past 2^63 cannot overflow the store; floors past
-    the horizon are never returned.
+    the horizon are never returned.  Refuses with ValueError an alpha not
+    above 1 or infinite, and a horizon whose cap int64 cannot hold.
     """
     import numpy as np
 
+    if horizon >= 2**63 - 1:
+        raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
     a = float(alpha)
-    if not a > 1:  # a rounds correctly, so a > 1 already proves alpha > 1
+    if not 1 < a < math.inf:  # a rounds correctly, so a > 1 already proves alpha > 1
         _check_generator(alpha)
-    last = int(horizon / a) + 2  # past the last n with floor(n*alpha) <= horizon
+    # covers every n with n*alpha < horizon + 1 despite the quotient's
+    # rounding, and keeps last*a near horizon + 1 + a: no product overflows
+    last = int((horizon + 1) / a) + 1
     prod = np.arange(start, last + 1, dtype=np.float64)
     prod *= a
     floors = np.floor(prod)
@@ -411,7 +420,9 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     margin = last * 8e-16 * a
     suspicious = np.nonzero((prod < margin) | (prod > 1 - margin))[0]
     cap = horizon + 1
-    guess = np.minimum(floors, cap, out=floors).astype(np.int64)
+    # a guess past 2^53 makes the margin exceed 1, so every entry is recomputed
+    # below; capping guesses there keeps the cast in range (float(cap) may be 2^63)
+    guess = np.minimum(floors, min(cap, 2**53), out=floors).astype(np.int64)
     if isinstance(alpha, QuadSurd):
         exact_floor = alpha.floor_times
     else:

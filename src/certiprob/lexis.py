@@ -123,11 +123,8 @@ def dispersion_Q(counts: CountVector, p):
 def _classify(trials: TrialMatrix) -> Regime:
     # exact: floats and Fractions are rationals, and == compares them as such
     rows = trials.p
-    flat = [x for r in rows for x in r]
-    if max(flat) == min(flat):
-        return Regime.BERNOULLI
     if all(max(r) == min(r) for r in rows):
-        return Regime.LEXIS
+        return Regime.BERNOULLI if all(r[0] == rows[0][0] for r in rows) else Regime.LEXIS
     if all(r == rows[0] for r in rows[1:]):
         return Regime.POISSON
     return Regime.MIXED
@@ -144,11 +141,11 @@ def expected_D(trials: TrialMatrix):
     which is the unambiguous form the three-term display reduces to (the
     test suite's expected_D_three_term).
     """
-    pbar = trials.grand_mean()
+    pi = trials.row_means()
+    pbar = sum(pi) / trials.n  # grand_mean(), without a second pass over the rows
     if not 0 < pbar < 1:
         raise ValueError(f"grand mean must lie strictly in (0, 1), got {pbar!r}")
     s = trials.s
-    pi = trials.row_means()
     var_sum = sum(x * (1 - x) for r in trials.p for x in r)
     shift_sum = sum((x - pbar) ** 2 for x in pi)
     D = (var_sum + s * s * shift_sum) / (trials.N * pbar * (1 - pbar))

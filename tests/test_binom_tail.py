@@ -41,6 +41,10 @@ class TestTailQuery:
         with pytest.raises(MethodNotApplicableError):
             TailQuery(10, 3, 0.5)
 
+    def test_zero_trials_refused(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            TailQuery(0, 0, 0.5)
+
     def test_integer_mean_test_at_its_edges(self):
         # l = np and l = np - 1 exactly, with float and Fraction p
         for n, p in ((10, 0.5), (12, 0.25), (9, Fraction(1, 3)), (7000, Fraction(3, 7))):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,12 +431,71 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestWarningsChannel:
+    """Every warning, the handler's own or the library's, rides in the envelope."""
+
+    def test_library_warning_in_success_envelope(self, capsys, monkeypatch):
+        def warned(n):
+            warnings.warn("x")
+            return 7
+
+        monkeypatch.setattr(cli.gems, "partition_exact", warned)
+        code = main(["partition", "exact", "--n", "5"])
+        captured = capsys.readouterr()
+        env = json.loads(captured.out)
+        assert (code, env["result"], env["warnings"]) == (0, {"p_n": 7}, ["x"])
+        assert captured.err == ""
+
+    def test_warnings_keep_their_order(self, capsys, monkeypatch):
+        # the library's warning comes before the handler's own, as emitted
+        real = cli.binom_tail.bracket_tail
+
+        def warned(*args, **kwargs):
+            warnings.warn("first")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.binom_tail, "bracket_tail", warned)
+        code = main(["tail", "--n", "400", "--l", "300", "--p", "0.3", "--kmax", "2"])
+        captured = capsys.readouterr()
+        env = json.loads(captured.out)
+        assert env["warnings"] == ["first", "tolerance not reached before k_max"]
+        assert (code, captured.err) == (0, "")
+
+    def test_warning_before_an_error_in_error_envelope(self, capsys, monkeypatch):
+        def warned_then_refused(n):
+            warnings.warn("before the refusal")
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli.gems, "partition_exact", warned_then_refused)
+        code = main(["partition", "exact", "--n", "5"])
+        captured = capsys.readouterr()
+        env = json.loads(captured.out)
+        assert code == 1
+        assert env["error"] == {"type": "ValueError", "message": "refused"}
+        assert env["warnings"] == ["before the refusal"]
+        assert captured.err == ""
+
+    def test_huge_float_generator_warns_nothing(self, capsys):
+        # numpy's overflow and invalid-value warnings once reached stderr
+        code = main(["beatty", "pair", "--alpha", "1e308", "--horizon", "10"])
+        captured = capsys.readouterr()
+        env = json.loads(captured.out)
+        assert (code, env["warnings"], captured.err) == (0, [], "")
+
+    def test_infinite_generator_is_error_envelope(self, capsys):
+        code, env = run_json(capsys, "beatty", "pair", "--alpha", "inf", "--horizon", "10")
+        assert code == 1
+        assert env["error"] == {"type": "ValueError", "message": "alpha must be finite, got inf"}
+
+
 class TestRunsSelfCheck:
     def test_disagreement_is_named_and_exits_one(self, capsys, monkeypatch):
         real = cli.RUN_METHODS["beta"]
         monkeypatch.setitem(cli.RUN_METHODS, "beta", lambda spec: real(spec) + 1e-9)
-        code, env = run_json(capsys, "runs", "--n", "20", "--r", "3", "--p", "1/2")
-        assert code == 1
+        code = main(["runs", "--n", "20", "--r", "3", "--p", "1/2"])
+        captured = capsys.readouterr()
+        env = json.loads(captured.out)
+        assert code == 1 and captured.err == ""
         assert "error" not in env
         result = env["result"]
         assert result["beta"] == pytest.approx(result["recursive"] + 1e-9, abs=1e-15)

@@ -180,6 +180,10 @@ class TestMonteCarloHarness:
         monkeypatch.setattr(concentration, "_MC_BLOCK", block)
         assert mc_abs_sum_tail(30, t, seed=3, samples=45_001) == want
 
+    def test_zero_samples_refused(self):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            mc_abs_sum_tail(3, 1.0, seed=1, samples=0)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_non_positive_n_refused_before_any_draw(self, monkeypatch, n):
         # n = -3 reached numpy's "negative dimensions are not allowed", and

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from collections import deque
 from fractions import Fraction
 
@@ -564,6 +565,48 @@ def test_generators_far_above_one(alpha):
     assert report.beta == partner
     # the partner's spectrum is 1, 2, ..., horizon: a tiling
     assert (report.disjoint, report.covers) == (True, True)
+
+
+@pytest.mark.parametrize("horizon, k", [(110, 47), (124, 29), (152, 59), (173, 62)])
+def test_last_floor_when_the_quotient_rounds_below_an_integer(horizon, k):
+    # (horizon + 1) / alpha is k + 10^-20, which rounds below k in floats,
+    # yet floor(k * alpha) = horizon is a floor to return
+    alpha = Fraction((horizon + 1) * 10**20, k * 10**20 + 1)
+    floors = gems._floors(alpha, horizon).tolist()
+    assert floors == exact_floors(alpha, horizon) and floors[-1] == horizon
+
+
+@pytest.mark.parametrize("alpha, horizon", [
+    (1e308, 10),  # the overshoot product 2e308 overflowed, then inf - inf
+    (2**62 + 1, 2**63 - 2),  # the float guess 2^63 was cast to int64
+], ids=["1e308", "2^62+1"])
+def test_edge_generators_raise_no_numpy_warning(alpha, horizon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(spectrum(alpha, horizon).values) == exact_floors(alpha, horizon)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Deck((1, 1)), r"order must be a permutation of 1\.\.2n"),
+    (lambda: beatty_pair_check(1, 10), "alpha must exceed 1"),
+    (lambda: beatty_pair_check(QuadSurd(-1, 1, 2), 10), "alpha must exceed 1"),
+    (lambda: spectrum(1.5, 0), "horizon must be positive"),
+    (lambda: beatty_pair_check(1.5, 0), "horizon must be positive"),
+    (lambda: triple_spectrum_search([2, 3], 10), "need exactly three generators"),
+    (lambda: wythoff_cold(0), "count must be positive"),
+    # inf passed the alpha > 1 test and died converting to a ratio
+    (lambda: spectrum(math.inf, 10), "alpha must be finite"),
+    (lambda: beatty_pair_check(math.inf, 10), "alpha must be finite"),
+    (lambda: triple_spectrum_search([2.5, math.inf, 3], 10), "alpha must be finite"),
+    # the cap horizon + 1 must fit the int64 store
+    (lambda: spectrum(2**63 + 5, 10**19 + 3), r"horizon must be below 2\^63 - 1"),
+    (lambda: spectrum(1.5, 2**63 - 1), r"horizon must be below 2\^63 - 1"),
+], ids=["deck", "pair-alpha-1", "pair-surd-below-1", "spectrum-horizon-0",
+        "pair-horizon-0", "triple-two-generators", "wythoff-0", "spectrum-inf",
+        "pair-inf", "triple-inf", "spectrum-horizon-10^19", "spectrum-horizon-2^63-1"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def brute_force_hits(alphas, horizon):

@@ -219,6 +219,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrialMatrix(p=((0.5, 0.5), (0.5,)))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TrialMatrix(p=()), "at least one row and one column"),
+        (lambda: CountVector(m=(), s=0), "s must be positive"),
+    ], ids=["empty-matrix", "zero-trials"])
+    def test_empty_shapes_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_counts_checked(self):
         with pytest.raises(ValueError):
             CountVector(m=(3,), s=2)

@@ -86,6 +86,10 @@ class TestBinomTailExact:
         value = binom_tail_exact(9000, 3090, Fraction(1, 3))
         assert round(value, 5) == 0.02170
 
+    def test_zero_trials_refused(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            binom_tail_exact(0, 0, 0.5)
+
     def test_tail_at_n_is_zero(self):
         assert binom_tail_exact(25, 25, 0.3) == 0.0
 
