@@ -396,14 +396,24 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     or of the exact rational a Fraction, int or float alpha is.  Guesses
     and exact floors are capped at horizon + 1 before they are stored as
     int64, so a generator past 2^63 cannot overflow the store; floors past
-    the horizon are never returned.  Refuses with ValueError an alpha not
-    above 1 or infinite, and a horizon whose cap int64 cannot hold.
+    the horizon are never returned.  A generator that is not a float has
+    its first floor taken exactly before any float conversion, so one past
+    the float range (10^400) gives an empty spectrum rather than an
+    OverflowError.  Refuses with ValueError an alpha not above 1 or
+    infinite, and a horizon whose cap int64 cannot hold.
     """
     import numpy as np
 
     if horizon >= 2**63 - 1:
         raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
-    a = float(alpha)
+    if not isinstance(alpha, float):
+        # exact, before float(alpha), which overflows past 2^1024
+        first = alpha.floor_times(start) if isinstance(alpha, QuadSurd) else math.floor(start * alpha)
+        if first > horizon:
+            return np.empty(0, dtype=np.int64)
+        if first < start:  # alpha < 1, perhaps far below -2^1024
+            _check_generator(alpha)
+    a = float(alpha)  # start * alpha < horizon + 1 < 2^63 for any other alpha
     if not 1 < a < math.inf:  # a rounds correctly, so a > 1 already proves alpha > 1
         _check_generator(alpha)
     # covers every n with n*alpha < horizon + 1 despite the quotient's

@@ -22,8 +22,10 @@ the rational p and carried as double-double pairs.  Its absolute error is
 at most LOG_PMF_ERROR_ULPS * 2**-53 * max(|log pmf|, 1); the exact-integer
 pmf lives only in the test oracles (``tests/_oracles.py``).
 
-Float masses over a range of k (``_pmf_terms``: one lead term, then the
-ratio recurrence) serve both the tail oracle and the Lexis variance.
+Float masses over a range of k (``_pmf_sweeps``: one lead term, then the
+ratio recurrence down and up from the mode) serve both the tail oracle,
+which stops once the masses left cannot change its rounded sum, and the
+Lexis variance, which takes them all through ``_pmf_terms``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from itertools import chain, islice
 
 LogProb = float
 
@@ -63,11 +66,17 @@ def _p_ratio(p) -> tuple:
 
     Floats and Fractions give their own as_integer_ratio, so p is read
     exactly without any Fraction arithmetic; other types go through
-    Fraction.
+    Fraction.  A Fraction is tested as 0 < num < den in integers (two
+    Fraction comparisons took ten times as long), and is matched by its
+    exact type: isinstance against Fraction, an ABC, costs a float 0.16 us.
     """
-    if not (0 < p < 1):
-        raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return (p if isinstance(p, (float, Fraction)) else Fraction(p)).as_integer_ratio()
+    if type(p) is Fraction:
+        num, den = p.as_integer_ratio()
+        if 0 < num < den:  # den > 0 in a Fraction
+            return num, den
+    elif 0 < p < 1:
+        return (p if isinstance(p, (float, Fraction)) else Fraction(p)).as_integer_ratio()
+    raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15, to 17 digits
@@ -191,48 +200,133 @@ def log_binom_pmf(n: int, k: int, p) -> LogProb:
     return min(total, 0.0)
 
 
-def _pmf_terms(n: int, lo: int, hi: int, p) -> list:
-    """Float masses b(k; n, p) for k = lo, lo+1, ..., 1 <= lo <= hi <= n.
+def _pmf_sweeps(n: int, lo: int, hi: int, p):
+    """The one float recurrence behind every mass: (mode, t_mode, down, up).
 
-    One log_binom_pmf at the mode clamped to [lo, hi], the largest mass
-    there, then the ratio recurrence both ways; the upward sweep stops at
-    its first zero, so masses missing past the list's end are zero.
+    mode is the mode clamped to [lo, hi] and t_mode = b(mode; n, p), the
+    largest mass there, from one log_binom_pmf.  down and up are lazy
+    iterators over b(mode-1), ..., b(lo) and b(mode+1), ..., b(hi), each
+    mass the one before it times one rounded ratio; up stops after its
+    first zero, as every mass past it is zero too.
     """
     num, den = _p_ratio(p)
     pflt = num / den
     qflt = (den - num) / den
     mode = min(max(int(math.floor((n + 1) * pflt)), lo), hi)
     t_mode = math.exp(log_binom_pmf(n, mode, p))
+
+    def down():
+        t = t_mode
+        for k in range(mode, lo, -1):  # k -> k-1
+            t *= k / (n - k + 1) * qflt / pflt
+            yield t
+
+    def up():
+        t = t_mode
+        for k in range(mode, hi):  # k -> k+1
+            t *= (n - k) / (k + 1) * pflt / qflt
+            yield t
+            if t == 0.0:
+                return
+
+    return mode, t_mode, down(), up()
+
+
+def _pmf_terms(n: int, lo: int, hi: int, p) -> list:
+    """Float masses b(k; n, p) for k = lo, lo+1, ..., 1 <= lo <= hi <= n.
+
+    Every mass _pmf_sweeps gives, in order; masses missing past the
+    list's end are zero.  Its callers are lexis.moments_Q_hat, which
+    weights each mass, and the test oracle tests/_oracles.tail_full_sweep,
+    whose sum of every mass binom_tail_exact must reproduce bit for bit.
+    """
+    mode, t_mode, down, up = _pmf_sweeps(n, lo, hi, p)
     if t_mode == 0.0:
         return []
-    terms = []
-    t = t_mode
-    for k in range(mode, lo, -1):  # downward: k -> k-1
-        t *= k / (n - k + 1) * qflt / pflt
-        terms.append(t)
+    terms = list(down)
     terms.reverse()
     terms.append(t_mode)
-    t = t_mode
-    for k in range(mode, hi):  # upward: k -> k+1
-        t *= (n - k) / (k + 1) * pflt / qflt
-        terms.append(t)
-        if t == 0.0:
-            break
+    terms.extend(up)
     return terms
+
+
+# masses per direction before the first stopping test; each later test
+# takes twice as many more, so the fsum passes cost O(masses kept)
+_FIRST_CHUNK = 32
+
+
+def _rest_bound(t: float, ratio: float) -> float:
+    """Bound on the total of the float masses the sweep would still make
+    after the mass t, given the exact ratio of the next mass to this one
+    rounded to a float, or inf when that ratio is not below 1.
+
+    The exact ratios fall monotonically in the sweep direction.  With p
+    and q at least 2**-900 and n below 2**53 every float multiplier is
+    formed in the normal range, within five roundings (p and q as
+    floats, three in the product) of its exact ratio, so at most (1 + 6u)
+    times this one, u = 2**-53; each float mass is then at most (1 + u)
+    times the product it rounds, plus 2**-1075 where that is subnormal.
+    rho = ratio * (1 + 2**-49) covers these factors and the rounding of
+    ratio, so the j-th mass to come is at most t * rho**j + 2**-1075 /
+    (1 - rho), and the at most n of them total at most (t * rho +
+    2**-1000) / (1 - rho).  The last factor covers this formula's own
+    roundings.
+    """
+    rho = ratio * (1 + 2.0**-49)
+    if not rho < 1:
+        return math.inf
+    return (t * rho + 2.0**-1000) / (1 - rho) * (1 + 2.0**-48)
+
+
+def _settled_sum(terms: list, rest: float):
+    """fsum(terms) when adding any floats totalling at most rest cannot
+    change it, else None.
+
+    Let K be the exact total of terms, S = fsum(terms) its correctly
+    rounded value and e = fsum(terms + [-S]) the rounded residual; then
+    |K - S| <= |e| (1 + u), u = 2**-53 (K - S is a sum of floats, so
+    exact where e is subnormal).  The floats to come total some R' in
+    [0, rest], so K + R' lies in [K, S + |e| (1 + u) + rest].  Below S it
+    is no farther than K, which already rounds to S (and strictly nearer
+    unless R' = 0); above S the test puts it strictly nearer than half
+    the gap to the next float.  So K + R' rounds to S, and fsum of every
+    mass returns S.  The last factor covers the test's own roundings.
+    A near-tie fails the test, and so does S below 2**-900, far enough
+    from the subnormal range for that half-gap to be exact and to dwarf
+    the allowance in rest; the caller then sweeps on.
+    """
+    s = math.fsum(terms)
+    if not s >= 2.0**-900:
+        return None
+    e = math.fsum(chain(terms, (-s,)))
+    if (abs(e) + rest) * (1 + 2.0**-48) < math.ulp(s) / 2:
+        return s
+    return None
 
 
 def binom_tail_exact(n: int, l: int, p) -> float:
     """P(S_n > l): the right binomial tail, summed term by term.
 
-    This is the oracle the bracketing machinery is tested against.  The
-    terms are the float masses of _pmf_terms over [l+1, n], totalled with
-    math.fsum, which is exact for floats and makes the summation order
-    immaterial.
+    This is the oracle the bracketing machinery is tested against: the
+    correctly rounded math.fsum of the float masses _pmf_sweeps makes
+    over [l+1, n], capped at 1.  fsum is exact for floats, so the
+    summation order is immaterial.
+
+    The sweep runs down and up from the mode in chunks, the first of
+    _FIRST_CHUNK masses per direction and each later one twice as large.
+    After each chunk it stops once _settled_sum proves that the masses
+    not yet made cannot change the rounded sum: _rest_bound bounds each
+    unfinished direction by a geometric series from its next exact pmf
+    ratio, which only falls further from the mode.  Where no proof
+    holds (a ratio not below 1, a sum below 2**-900, a near-tie, p or q
+    below 2**-900, n of 2**53 or more) the sweep runs to its end, so the
+    result is the full sum's, bit for bit, for every input.  Near the
+    mode a tail needs O(sd) masses, not the O(n) that reach the underflow.
 
     By convention l > n returns 0.0 (with a TailConventionWarning) and
     l < 0 returns 1.0.
     """
-    _p_ratio(p)
+    num, den = _p_ratio(p)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if l > n:
@@ -246,5 +340,31 @@ def binom_tail_exact(n: int, l: int, p) -> float:
         return 1.0
     if l == n:
         return 0.0
-    return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
-
+    mode, t_mode, down, up = _pmf_sweeps(n, l + 1, n, p)
+    if t_mode == 0.0:
+        return 0.0
+    q = den - num
+    certify = n < 2**53 and min(num, q) / den >= 2.0**-900
+    terms = [t_mode]
+    # (iterator, index of its last mass, step) for each direction not done
+    sweeps = [(down, mode, -1), (up, mode, 1)]
+    size = _FIRST_CHUNK
+    while sweeps:
+        live = []
+        rest = 0.0
+        for it, k, step in sweeps:
+            before = len(terms)
+            terms.extend(islice(it, size))
+            got = len(terms) - before
+            if got < size or terms[-1] == 0.0:
+                continue  # exhausted, or every mass left is zero
+            k += step * got
+            live.append((it, k, step))
+            if certify:
+                a, b = ((n - k) * num, (k + 1) * q) if step > 0 else (k * q, (n - k + 1) * num)
+                rest += _rest_bound(terms[-1], a / b)
+        sweeps = live
+        if sweeps and certify and (s := _settled_sum(terms, rest)) is not None:
+            return min(s, 1.0)
+        size *= 2
+    return min(math.fsum(terms), 1.0)

@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths of the package under
 test: tails are summed from the complement, run probabilities come from
 raw bitmask enumeration, Wythoff positions from retrograde game solving,
 partition counts from a coin-style dynamic program, and reference logs
-from 50-digit arithmetic.  Two are plain versions of a fast kernel, kept
-to pin its bits: the Monte Carlo block loop, which draws uniform(-1, 1)
-and sums every row, and the Beatty window counts by bincount.  Three are
+from 50-digit arithmetic.  Three are plain versions of a fast kernel,
+kept to pin its bits: the exact tail's full sweep, which sums every
+float mass (binom_tail_exact stops once the rest cannot change the
+sum), the Monte Carlo block loop, which draws uniform(-1, 1) and sums
+every row, and the Beatty window counts by bincount.  Three are
 second forms of a package result that only the tests call: the no-run
 generating function's coefficients by long division, the three-term
 form of E(Q), and a survey of full-cycle shuffle orders (which calls
@@ -23,6 +25,7 @@ import numpy as np
 
 from certiprob.gems import _certified_prime, shuffle_order
 from certiprob.lexis import TrialMatrix
+from certiprob.numerics import _pmf_terms
 
 mpmath.mp.dps = 50
 
@@ -46,6 +49,16 @@ def tail_fraction_oracle(n: int, l: int, p) -> Fraction:
     qn = den - num
     head = sum(math.comb(n, k) * num**k * qn ** (n - k) for k in range(0, l + 1))
     return 1 - Fraction(head, den**n)
+
+
+def tail_full_sweep(n: int, l: int, p) -> float:
+    """binom_tail_exact without its stop: the fsum of every float mass
+    _pmf_terms makes over [l+1, n], with the same conventions outside."""
+    if l >= n:
+        return 0.0
+    if l < 0:
+        return 1.0
+    return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
 
 
 def log_pmf_reference(n: int, k: int, p) -> mpmath.mpf:

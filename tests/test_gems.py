@@ -554,13 +554,17 @@ def test_floors_equal_exact_floors(alpha, horizon, start):
     1e19,
     Fraction(10**30, 7),
     QuadSurd(10**19, 1, 2),
-], ids=["2^54", "10^19", "1e19", "10^30/7", "10^19+sqrt2"])
+    # past the float range: float(alpha) raised OverflowError
+    10**400,
+    Fraction(10**400, 3),
+], ids=["2^54", "10^19", "1e19", "10^30/7", "10^19+sqrt2", "10^400", "10^400/3"])
 def test_generators_far_above_one(alpha):
     horizon = 50
     partner = exact_partner(alpha)
     for g in (alpha, partner):
         assert gems._floors(g, horizon).tolist() == exact_floors(g, horizon)
     assert exact_floors(alpha, horizon) == []
+    assert spectrum(alpha, horizon).values == ()
     report = beatty_pair_check(alpha, horizon)
     assert report.beta == partner
     # the partner's spectrum is 1, 2, ..., horizon: a tiling
@@ -586,6 +590,19 @@ def test_edge_generators_raise_no_numpy_warning(alpha, horizon):
         assert list(spectrum(alpha, horizon).values) == exact_floors(alpha, horizon)
 
 
+@pytest.mark.parametrize("alphas", [
+    [Fraction(3, 2), 3, 10**400],
+    [QuadSurd.golden(), QuadSurd.golden_sq(), Fraction(10**400, 3)],
+], ids=["3/2,3,10^400", "golden-pair,10^400/3"])
+def test_triple_with_a_generator_past_the_float_range(alphas):
+    horizon = 50
+    hits = brute_force_hits(alphas, horizon)
+    bad = [i for i, h in enumerate(hits) if h != 1]
+    want = (gems.TripleWitness(bad[0] + 1, "missing" if hits[bad[0]] == 0 else "double", False)
+            if bad else gems.TripleWitness(None, None, True))
+    assert triple_spectrum_search(alphas, horizon) == want
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Deck((1, 1)), r"order must be a permutation of 1\.\.2n"),
     (lambda: beatty_pair_check(1, 10), "alpha must exceed 1"),
@@ -601,9 +618,12 @@ def test_edge_generators_raise_no_numpy_warning(alpha, horizon):
     # the cap horizon + 1 must fit the int64 store
     (lambda: spectrum(2**63 + 5, 10**19 + 3), r"horizon must be below 2\^63 - 1"),
     (lambda: spectrum(1.5, 2**63 - 1), r"horizon must be below 2\^63 - 1"),
+    # below 1 and past the float range: refused before float(alpha) overflows
+    (lambda: spectrum(-10**400, 10), "alpha must exceed 1"),
 ], ids=["deck", "pair-alpha-1", "pair-surd-below-1", "spectrum-horizon-0",
         "pair-horizon-0", "triple-two-generators", "wythoff-0", "spectrum-inf",
-        "pair-inf", "triple-inf", "spectrum-horizon-10^19", "spectrum-horizon-2^63-1"])
+        "pair-inf", "triple-inf", "spectrum-horizon-10^19", "spectrum-horizon-2^63-1",
+        "spectrum--10^400"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -2,10 +2,14 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from certiprob import numerics
 from certiprob.binom_tail import TailQuery, bahadur_tail
 from certiprob.lexis import CountVector, dispersion_Q
 from certiprob.numerics import TailConventionWarning, binom_tail_exact, log_binom_pmf
@@ -13,7 +17,7 @@ from certiprob.numerics import TailConventionWarning, binom_tail_exact, log_bino
 from certiprob.ruin import RuinGame
 from certiprob.runs import RunSpec
 
-from _oracles import log_pmf_reference, tail_fraction_oracle
+from _oracles import log_pmf_reference, tail_fraction_oracle, tail_full_sweep
 
 
 class TestLogBinomPmf:
@@ -128,6 +132,84 @@ class TestBinomTailExact:
             assert binom_tail_exact(n, l, lo) <= binom_tail_exact(n, l, hi) + 1e-15
 
 
+@st.composite
+def tail_queries(draw):
+    """(n, l, p): n log-uniform up to 10^6, p near 0, 1/2 or 1 as a float
+    or a Fraction, l anywhere in [-1, n+1] or up to 8 or 40 sd from the
+    mean (tails down to about 1e-300, and thresholds below the mode).
+    Drawn from a Random seeded by hypothesis, whose own integers and
+    randoms put most n at 1."""
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    n = max(1, round(10 ** rng.uniform(0, 6)))
+    offset = 10 ** rng.choice([rng.uniform(-8, -0.31), rng.uniform(-15, -0.31)])
+    pf = rng.choice([offset, 1 - offset, 0.5 + rng.choice([-0.5, 0.5]) * offset])
+    p = Fraction(pf).limit_denominator(rng.choice([10, 1000, 10**9])) if rng.random() < 0.5 else pf
+    if not 0 < p < 1:
+        p = Fraction(pf)
+    pp = float(p)
+    sd = math.sqrt(n * pp * (1 - pp))
+    z = rng.choice([8, 40]) * rng.uniform(-1, 1)
+    l = rng.randint(-1, n + 1) if rng.random() < 0.2 else math.floor(n * pp + z * sd)
+    return n, min(max(l, -1), n + 1), p
+
+
+class TestTailStop:
+    """binom_tail_exact stops its sweep once the masses left cannot change
+    the rounded sum; the full sweep, tail_full_sweep, pins its bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tail_queries())
+    def test_equals_the_full_sweep(self, query):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailConventionWarning)  # l = n + 1
+            assert binom_tail_exact(*query) == tail_full_sweep(*query)
+
+    @staticmethod
+    def _count_masses(monkeypatch):
+        """Patch the sweep to count the masses binom_tail_exact draws."""
+        count = [0]
+        sweeps = numerics._pmf_sweeps
+
+        def counted(it):
+            for t in it:
+                count[0] += 1
+                yield t
+
+        def counting(*args):
+            mode, t_mode, down, up = sweeps(*args)
+            return mode, t_mode, counted(down), counted(up)
+
+        monkeypatch.setattr(numerics, "_pmf_sweeps", counting)
+        return count
+
+    def test_stops_near_the_mode(self, monkeypatch):
+        # the full sweep made 1,610,386 masses here, nearly all of them
+        # below the sum's last bit
+        count = self._count_masses(monkeypatch)
+        query = (10**7, 3005000, 0.3)
+        assert binom_tail_exact(*query) == 0.0002801151848134074
+        assert count[0] <= 20000
+
+    @pytest.mark.parametrize("query", [
+        (10**7, 3005000, 0.3),
+        (10**6, 499000, 0.5),  # l + 1 below the mode: both directions
+        (9000, 3090, Fraction(1, 3)),
+        (20000, 6100, 0.3),
+        (1000, 0, 0.001),
+        (200, 80, 0.3),
+    ])
+    def test_refused_stop_sweeps_to_the_end(self, monkeypatch, query):
+        n, l, p = query
+        want = tail_full_sweep(n, l, p)
+        masses = len(numerics._pmf_terms(n, l + 1, n, p))
+        count = self._count_masses(monkeypatch)
+        monkeypatch.setattr(numerics, "_settled_sum", lambda terms, rest: None)
+        assert binom_tail_exact(n, l, p) == want
+        # every mass the full sweep makes but the mode's (no downward
+        # sweep here reaches a zero, after which the oracle skips the rest)
+        assert count[0] + 1 == masses
+
+
 # Every caller of the shared p-range check, as a function of p alone.
 P_CALLERS = {
     "TailQuery": lambda p: TailQuery(10, 5, p),
@@ -138,9 +220,14 @@ P_CALLERS = {
 }
 
 
-@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "p",
+    [math.inf, -math.inf, math.nan, Fraction(3, 2), Fraction(-1, 3), Fraction(0), Fraction(1)],
+    ids=["inf", "-inf", "nan", "3/2", "-1/3", "0/1", "1/1"],
+)
 @pytest.mark.parametrize("caller", list(P_CALLERS))
 def test_non_finite_p_gets_the_range_message(caller, p):
-    # the range is tested on p itself, before any Fraction conversion
+    # the range is tested on p itself, before any Fraction conversion; a
+    # Fraction is tested as 0 < num < den, in integers
     with pytest.raises(ValueError, match=r"p must lie strictly in \(0, 1\)"):
         P_CALLERS[caller](p)

@@ -2,8 +2,8 @@
 
 `tests/data/oracle_golden.json` holds outputs of `numerics.binom_tail_exact`
 (float and `Fraction` p, n up to 2*10^4, l from -1 to n) and of the float
-`lexis.moments_Q_hat`, both built on the one float pmf sweep
-`numerics._pmf_terms`.  Floats are stored as `float.hex`, p as `float.hex`
+`lexis.moments_Q_hat`, both built on the one float pmf recurrence
+`numerics._pmf_sweeps`.  Floats are stored as `float.hex`, p as `float.hex`
 or "a/b".  Every replay must agree bit for bit.
 
 `python tests/test_oracle_golden.py` rebuilds the file from the same
