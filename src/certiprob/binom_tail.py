@@ -26,13 +26,16 @@ overflow nor underflow at any depth; a power of two is exact in binary
 floating point, so the ratios A_m/B_m are bit-identical whether or not a
 rescale fired.
 
-There is one walk, _convergents.  bracket_tail runs it in floats, with
-coefficients built from the exact ratio p/q rounded once, and pushes its
-endpoints out by a margin derived from the error bounds of the lead
-term, the recursion and that rounding (see _guard).  convergent_stream
-exposes the same walk; with a Fraction p every convergent comes out as
-an exact rational, which is how the test suite verifies the
-interleaving property and cross-checks the float walk.
+There is one walk, _convergents, and it goes a depth at a time: each
+step makes both half-steps of depth k and yields (k, C_k, D_k).
+bracket_tail runs it in floats, with coefficients built from the exact
+ratio p/q rounded once, and pushes its endpoints out by a margin derived
+from the error bounds of the lead term, the recursion and that rounding
+(see _guard), still testing its stop after each convergent.
+convergent_stream flattens the same walk to one item per convergent;
+with a Fraction p every convergent comes out as an exact rational, which
+is how the test suite verifies the interleaving property and
+cross-checks the float walk.
 
 As everywhere in the package, p is read once as its integer ratio
 num/den (numerics._p_ratio): TailQuery tests l > np as l*den > n*num, the
@@ -48,7 +51,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _p_ratio, log_binom_pmf
 
@@ -133,28 +136,23 @@ class TailQuery:
 
 
 def _convergents(n: int, l: int, k_cap: int, odds):
-    """Yield (k, kind, A_m/B_m) for m = 2 .. 2*k_cap + 1: C_1, D_1, ..., D_{k_cap}.
+    """Yield (k, C_k, D_k) for k = 1 .. k_cap, one item per depth.
 
-    Exact rationals when odds is a Fraction; otherwise floats, with the
-    joint power-of-two rescale.  Both coefficients of depth k = m // 2
-    share the denominator (l + m - 1)(l + m); c_k enters negated, and
-    A + (-c)*A_prev rounds exactly as A - c*A_prev does.
+    Each depth makes two half-steps of the recursion, m = 2k (the
+    coefficient -c_k) and m = 2k + 1 (d_k), each followed by the joint
+    rescale test, and C_k = A_{2k}/B_{2k}, D_k = A_{2k+1}/B_{2k+1}.  Exact
+    rationals when odds is a Fraction; otherwise floats, with the joint
+    power-of-two rescale.  Both coefficients of half-step m share the
+    denominator (l + m - 1)(l + m); c_k enters negated, and A + (-c)*A_prev
+    rounds exactly as A - c*A_prev does.
     """
     exact = isinstance(odds, Fraction)
     big, small = RESCALE_THRESHOLD, RESCALE
     nbig, nsmall = -big, -small
     A_prev, A, B_prev, B = 0, 1, 1, 1  # the first coefficient sets the type
-    lm = l + 1  # l + m - 1
-    for m in range(2, 2 * k_cap + 2):
-        k = m >> 1
-        den = lm * (lm + 1)
-        lm += 1
-        if m & 1:
-            coeff = k * (n + k) * odds / den
-            kind = "D"
-        else:
-            coeff = -((n - k - l) * (l + k) * odds / den)
-            kind = "C"
+    lm = l + 1  # l + m - 1 at m = 2k
+    for k in range(1, k_cap + 1):
+        coeff = -((n - k - l) * (l + k) * odds / (lm * (lm + 1)))
         A_prev, A = A, A + coeff * A_prev
         B_prev, B = B, B + coeff * B_prev
         if not exact:
@@ -163,27 +161,51 @@ def _convergents(n: int, l: int, k_cap: int, odds):
             elif nsmall < A < small and nsmall < B < small:
                 A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
         try:
-            v = A / B
+            c = A / B
         except ZeroDivisionError:
-            raise NumericDegeneracyError(f"B_{m} = 0") from None
-        yield k, kind, v
+            raise NumericDegeneracyError(f"B_{2 * k} = 0") from None
+        lm += 1
+        coeff = k * (n + k) * odds / (lm * (lm + 1))
+        lm += 1
+        A_prev, A = A, A + coeff * A_prev
+        B_prev, B = B, B + coeff * B_prev
+        if not exact:
+            if not (nbig <= A <= big and nbig <= B <= big):
+                A, B, A_prev, B_prev = A * small, B * small, A_prev * small, B_prev * small
+            elif nsmall < A < small and nsmall < B < small:
+                A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
+        try:
+            d = A / B
+        except ZeroDivisionError:
+            raise NumericDegeneracyError(f"B_{2 * k + 1} = 0") from None
+        yield k, c, d
+
+
+def _flatten(depths):
+    """(k, "C", C_k), (k, "D", D_k) for each (k, C_k, D_k) of depths."""
+    for k, c, d in depths:
+        yield k, "C", c
+        yield k, "D", d
 
 
 def convergent_stream(query: TailQuery):
     """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
 
-    kind is "C" or "D".  With a Fraction p every value is an exact
-    rational; with any other p these are the float convergents that
-    bracket_tail walks.
+    kind is "C" or "D": the per-depth walk _convergents, flattened to one
+    item per convergent, ending at (k_terminal, "D").  With a Fraction p
+    every value is an exact rational; with any other p these are the
+    float convergents that bracket_tail walks.
     """
     num, den = _p_ratio(query.p)
     odds = Fraction(num, den - num) if isinstance(query.p, Fraction) else num / (den - num)
-    return _convergents(query.n, query.l, query.k_terminal, odds)
+    return _flatten(_convergents(query.n, query.l, query.k_terminal, odds))
 
 
-@dataclass(frozen=True)
-class TailBracket:
-    """Certified enclosure lower <= P(S_n > l) <= upper."""
+class TailBracket(NamedTuple):
+    """Certified enclosure lower <= P(S_n > l) <= upper.
+
+    Immutable; a NamedTuple builds in a third of a frozen dataclass's time.
+    """
 
     lower: float
     upper: float
@@ -239,10 +261,16 @@ def bracket_tail(
     a lower one below sys.float_info.min becomes 0.0, and once the upper
     one falls below it the walk stops with [0.0, sys.float_info.min] and
     converged=False.
+
+    The walk takes a depth at a time from _convergents.  C_k and D_k fall
+    on the same side of S (odd k above, even k below), the guard is formed
+    once per depth, and D_k recomputes only its own endpoint, and only if
+    it moved; an endpoint that did not move leaves both tests as they were.
     """
     if not tol > 0:  # false for nan too
         raise ValueError(f"tol must be positive, got {tol}")
-    n, l, k_term = query.n, query.l, query.k_terminal
+    n, l = query.n, query.l
+    k_term = n - l - 1  # query.k_terminal
     if k_max is not None and k_max < 1 <= k_term:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     k_cap = k_term if k_max is None else min(k_max, k_term)
@@ -255,36 +283,71 @@ def bracket_tail(
     kappa = min(r / (1.0 - r), k_term) if r < 1.0 else k_term
     hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
     floor = _RECURSION_ULPS * _U  # the guard's growth per depth
+    u, ulps, base, tiny = _U, _RECURSION_ULPS, _BASE_ULPS, _TINY
 
+    if not k_term:
+        # l = n - 1 has no coefficients: the terminal convergent D_0 = 1 is S
+        k = 0
+        g = _guard(lead_ulps, 0, kappa)
+        upper = lead * (1.0 + g)
+        if upper > 1.0:
+            upper = 1.0
+        lower = lead * (1.0 - g)
+        if not lower >= tiny:
+            lower = 0.0
     best_lo = 0.0  # even side, in S units
-    best_hi = math.inf  # odd side; C_1 or D_0 comes first, so it is finite below
-    g = _guard(lead_ulps, 0, kappa)
-    up_f, lo_f = 1.0 + g, 1.0 - g
-    # l = n - 1 has no coefficients: its walk is the terminal convergent D_0 = 1
-    walk = _convergents(n, l, k_cap, odds) if k_term else ((0, "D", 1.0),)
-    for k_used, kind, v in walk:
-        if kind == "C":
-            g = _guard(lead_ulps, k_used, kappa)
-            up_f, lo_f = 1.0 + g, 1.0 - g
-        if k_used == k_term and kind == "D":
-            best_lo = best_hi = v  # terminal convergent equals S exactly
-        elif k_used & 1:
-            if v < best_hi:
-                best_hi = v
-        elif v > best_lo:
-            best_lo = v
+    best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
+    for k, c, d in _convergents(n, l, k_cap, odds):
+        g = u * (lead_ulps + ulps * (k + kappa) + base)  # _guard(lead_ulps, k, kappa)
+        up_f, lo_f = 1.0 + g, 1.0 - g
+        spent = g > hopeless
+        odd = k & 1
+        # C_k: the guard moved, so both endpoints are recomputed
+        if odd:
+            if c < best_hi:
+                best_hi = c
+        elif c > best_lo:
+            best_lo = c
         upper = lead * best_hi * up_f
         if upper > 1.0:
             upper = 1.0
         lower = lead * best_lo * lo_f
-        lower = lower if lower >= _TINY else 0.0
-        if upper - lower <= tol * upper or upper < _TINY:
+        if not lower >= tiny:
+            lower = 0.0
+        if upper - lower <= tol * upper or upper < tiny:
             break
-        if g > hopeless and best_hi - best_lo <= floor * (best_hi + best_lo):
+        if spent and best_hi - best_lo <= floor * (best_hi + best_lo):
             break  # tol out of reach, and no later depth is narrower
-    if upper < _TINY:
-        return TailBracket(0.0, _TINY, k_used, lead_log, False)
-    return TailBracket(lower, upper, k_used, lead_log, upper - lower <= tol * upper)
+        # D_k: only the endpoint on its side can move
+        if k == k_term:
+            best_lo = best_hi = d  # terminal convergent equals S exactly
+            upper = lead * best_hi * up_f
+            if upper > 1.0:
+                upper = 1.0
+            lower = lead * best_lo * lo_f
+            if not lower >= tiny:
+                lower = 0.0
+        elif odd:
+            if not d < best_hi:
+                continue
+            best_hi = d
+            upper = lead * best_hi * up_f
+            if upper > 1.0:
+                upper = 1.0
+        else:
+            if not d > best_lo:
+                continue
+            best_lo = d
+            lower = lead * best_lo * lo_f
+            if not lower >= tiny:
+                lower = 0.0
+        if upper - lower <= tol * upper or upper < tiny:
+            break
+        if spent and best_hi - best_lo <= floor * (best_hi + best_lo):
+            break
+    if upper < tiny:
+        return TailBracket(0.0, tiny, k, lead_log, False)
+    return TailBracket(lower, upper, k, lead_log, upper - lower <= tol * upper)
 
 
 def left_tail_bracket(

@@ -193,11 +193,12 @@ def _tail(args):
 
 def _lln_bernoulli(args):
     query = lln_bounds.LlnQuery(p=args.p, eps=args.eps, eta=args.eta)
-    n_bound = lln_bounds.bernoulli_n_bound(query)
+    alpha = lln_bounds.bernoulli_alpha(query)  # once: bernoulli_n_bound would make it again
+    n_bound = lln_bounds._n_bound(query, alpha)
     return (
         {"p": args.p, "eps": args.eps, "eta": args.eta},
         {
-            "alpha": lln_bounds.bernoulli_alpha(query),
+            "alpha": alpha,
             "n_bound": n_bound,
             "upper_count_at_n": lln_bounds.upper_count(n_bound, query),
         },

@@ -388,7 +388,38 @@ def _check_generator(alpha: Alpha) -> None:
         raise ValueError(f"alpha must be finite, got {alpha!r}")
 
 
-def _floors(alpha: Alpha, horizon: int, start: int = 1):
+def _constants(alpha: Alpha, horizon: int, start: int = 1):
+    """(float(alpha), exact floor of m*alpha) for _floors, or None when
+    floor(start*alpha) > horizon, so that _floors gives nothing from start.
+
+    A generator that is not a float has that first floor taken exactly
+    before any float conversion, so one past the float range (10^400)
+    gives None rather than an OverflowError.  float(alpha) is correctly
+    rounded; the exact floor is QuadSurd.floor_times, or integer division
+    on the exact rational a Fraction, int or float alpha is.  Refuses with
+    ValueError an alpha not above 1 or infinite, and a horizon whose cap
+    int64 cannot hold.
+    """
+    if horizon >= 2**63 - 1:
+        raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
+    if not isinstance(alpha, float):
+        # exact, before float(alpha), which overflows past 2^1024
+        first = alpha.floor_times(start) if isinstance(alpha, QuadSurd) else math.floor(start * alpha)
+        if first > horizon:
+            return None
+        if first < start:  # alpha < 1, perhaps far below -2^1024
+            _check_generator(alpha)
+    a = float(alpha)  # start * alpha < horizon + 1 < 2^63 for any other alpha
+    if not 1 < a < math.inf:  # a rounds correctly, so a > 1 already proves alpha > 1
+        _check_generator(alpha)
+    if isinstance(alpha, QuadSurd):
+        return a, alpha.floor_times
+    af = _as_fraction(alpha)  # floats convert exactly
+    num, den = af.numerator, af.denominator
+    return a, lambda m: m * num // den
+
+
+def _floors(alpha: Alpha, horizon: int, start: int = 1, constants=None):
     """floor(n*alpha) <= horizon for n = start, start + 1, ..., exactly.
 
     Float multiples are taken as first guesses; the entries too close to
@@ -396,26 +427,18 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     or of the exact rational a Fraction, int or float alpha is.  Guesses
     and exact floors are capped at horizon + 1 before they are stored as
     int64, so a generator past 2^63 cannot overflow the store; floors past
-    the horizon are never returned.  A generator that is not a float has
-    its first floor taken exactly before any float conversion, so one past
-    the float range (10^400) gives an empty spectrum rather than an
-    OverflowError.  Refuses with ValueError an alpha not above 1 or
-    infinite, and a horizon whose cap int64 cannot hold.
+    the horizon are never returned.  constants is _constants(alpha, h, s)
+    for some h >= horizon and s <= start, when the caller has it, and is
+    made here otherwise; a generator past the float range (10^400) gives
+    an empty spectrum rather than an OverflowError.  Refuses with
+    ValueError an alpha not above 1 or infinite, and a horizon whose cap
+    int64 cannot hold.
     """
     import numpy as np
 
-    if horizon >= 2**63 - 1:
-        raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
-    if not isinstance(alpha, float):
-        # exact, before float(alpha), which overflows past 2^1024
-        first = alpha.floor_times(start) if isinstance(alpha, QuadSurd) else math.floor(start * alpha)
-        if first > horizon:
-            return np.empty(0, dtype=np.int64)
-        if first < start:  # alpha < 1, perhaps far below -2^1024
-            _check_generator(alpha)
-    a = float(alpha)  # start * alpha < horizon + 1 < 2^63 for any other alpha
-    if not 1 < a < math.inf:  # a rounds correctly, so a > 1 already proves alpha > 1
-        _check_generator(alpha)
+    if constants is None and (constants := _constants(alpha, horizon, start)) is None:
+        return np.empty(0, dtype=np.int64)
+    a, exact_floor = constants
     # covers every n with n*alpha < horizon + 1 despite the quotient's
     # rounding, and keeps last*a near horizon + 1 + a: no product overflows
     last = int((horizon + 1) / a) + 1
@@ -433,11 +456,6 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1):
     # a guess past 2^53 makes the margin exceed 1, so every entry is recomputed
     # below; capping guesses there keeps the cast in range (float(cap) may be 2^63)
     guess = np.minimum(floors, min(cap, 2**53), out=floors).astype(np.int64)
-    if isinstance(alpha, QuadSurd):
-        exact_floor = alpha.floor_times
-    else:
-        af = _as_fraction(alpha)  # floats convert exactly
-        exact_floor = lambda m: m * af.numerator // af.denominator
     for i in suspicious:
         guess[i] = min(exact_floor(int(i) + start), cap)
     # the floors increase strictly, as n >= 1 and alpha > 1
@@ -453,6 +471,8 @@ def _hits(generators: Sequence[Alpha], horizon: int):
     generator keeps a cursor, its first n whose floor lies past the
     windows already counted, so a window computes only its own floors
     (and the few past its edge that _floors' float guesses overshoot).
+    A generator's float value and exact floor are made once, not per
+    window, and one whose first floor lies past the horizon hits nothing.
 
     All windows share one int8 buffer, which holds up to 127 generators:
     counts is a view of it, valid only until the next window is asked
@@ -462,14 +482,16 @@ def _hits(generators: Sequence[Alpha], horizon: int):
     """
     import numpy as np
 
+    live = [(k, g, made) for k, g in enumerate(generators)
+            if (made := _constants(g, horizon)) is not None]
     cursors = [1] * len(generators)
     buffer = np.empty(_WINDOW, dtype=np.int8)
     for lo in range(1, horizon + 1, _WINDOW):
         hi = min(lo + _WINDOW - 1, horizon)
         counts = buffer[: hi - lo + 1]
         counts.fill(0)
-        for k, g in enumerate(generators):
-            floors = _floors(g, hi, cursors[k])
+        for k, g, made in live:
+            floors = _floors(g, hi, cursors[k], made)
             cursors[k] += len(floors)
             counts[floors - lo] += 1
         yield lo, counts

@@ -107,7 +107,11 @@ def bernoulli_n_bound(query: LlnQuery) -> int:
     is below eta.  The ceiling is taken in exact rational arithmetic; an
     exactly integral bound is returned as that integer.
     """
-    alpha = bernoulli_alpha(query)
+    return _n_bound(query, bernoulli_alpha(query))
+
+
+def _n_bound(query: LlnQuery, alpha: int) -> int:
+    """bernoulli_n_bound for alpha = bernoulli_alpha(query), already in hand."""
     p = _as_fraction(query.p)
     eps = _as_fraction(query.eps)
     q = 1 - p

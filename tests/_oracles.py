@@ -4,11 +4,12 @@ Everything here deliberately avoids the code paths of the package under
 test: tails are summed from the complement, run probabilities come from
 raw bitmask enumeration, Wythoff positions from retrograde game solving,
 partition counts from a coin-style dynamic program, and reference logs
-from 50-digit arithmetic.  Three are plain versions of a fast kernel,
+from 50-digit arithmetic.  Four are plain versions of a fast kernel,
 kept to pin its bits: the exact tail's full sweep, which sums every
 float mass (binom_tail_exact stops once the rest cannot change the
-sum), the Monte Carlo block loop, which draws uniform(-1, 1) and sums
-every row, and the Beatty window counts by bincount.  Three are
+sum), the bracket walk a convergent at a time (bracket_tail takes a
+depth per step), the Monte Carlo block loop, which draws uniform(-1, 1)
+and sums every row, and the Beatty window counts by bincount.  Three are
 second forms of a package result that only the tests call: the no-run
 generating function's coefficients by long division, the three-term
 form of E(Q), and a survey of full-cycle shuffle orders (which calls
@@ -19,13 +20,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import takewhile
 
 import mpmath
 import numpy as np
 
+from certiprob.binom_tail import (
+    _RECURSION_ULPS, _TINY, _U, TailBracket, _convergents, _flatten, _guard, _lead_ulps,
+    convergent_stream,
+)
 from certiprob.gems import _certified_prime, shuffle_order
 from certiprob.lexis import TrialMatrix
-from certiprob.numerics import _pmf_terms
+from certiprob.numerics import _p_ratio, _pmf_terms, log_binom_pmf
 
 mpmath.mp.dps = 50
 
@@ -59,6 +65,61 @@ def tail_full_sweep(n: int, l: int, p) -> float:
     if l < 0:
         return 1.0
     return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
+
+
+def bracket_tail_halfsteps(query, tol: float = 1e-8, k_max=None):
+    """bracket_tail one convergent at a time: (bracket, kind of the last
+    convergent walked).
+
+    The loop bracket_tail ran before it took a depth per step: the guard
+    formed at every C_k, and both endpoints and both stopping tests
+    recomputed after every convergent.  A float p walks convergent_stream
+    itself; a Fraction p walks the same float recursion on p/q rounded
+    once, which convergent_stream only gives in exact rationals.
+    """
+    n, l, k_term = query.n, query.l, query.k_terminal
+    k_cap = k_term if k_max is None else min(k_max, k_term)
+    lead_log = log_binom_pmf(n, l + 1, query.p)
+    lead = math.exp(lead_log)
+    lead_ulps = _lead_ulps(lead_log)
+    num, den = _p_ratio(query.p)
+    odds = num / (den - num)
+    r = (n - l - 1) * odds / (l + 2)
+    kappa = min(r / (1.0 - r), k_term) if r < 1.0 else k_term
+    hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
+    floor = _RECURSION_ULPS * _U
+
+    if isinstance(query.p, Fraction):
+        stream = _flatten(_convergents(n, l, k_term, odds))
+    else:
+        stream = convergent_stream(query)
+    best_lo, best_hi = 0.0, math.inf
+    g = _guard(lead_ulps, 0, kappa)
+    up_f, lo_f = 1.0 + g, 1.0 - g
+    walk = takewhile(lambda item: item[0] <= k_cap, stream) if k_term else ((0, "D", 1.0),)
+    for k_used, kind, v in walk:
+        if kind == "C":
+            g = _guard(lead_ulps, k_used, kappa)
+            up_f, lo_f = 1.0 + g, 1.0 - g
+        if k_used == k_term and kind == "D":
+            best_lo = best_hi = v
+        elif k_used & 1:
+            if v < best_hi:
+                best_hi = v
+        elif v > best_lo:
+            best_lo = v
+        upper = lead * best_hi * up_f
+        if upper > 1.0:
+            upper = 1.0
+        lower = lead * best_lo * lo_f
+        lower = lower if lower >= _TINY else 0.0
+        if upper - lower <= tol * upper or upper < _TINY:
+            break
+        if g > hopeless and best_hi - best_lo <= floor * (best_hi + best_lo):
+            break
+    if upper < _TINY:
+        return TailBracket(0.0, _TINY, k_used, lead_log, False), kind
+    return TailBracket(lower, upper, k_used, lead_log, upper - lower <= tol * upper), kind
 
 
 def log_pmf_reference(n: int, k: int, p) -> mpmath.mpf:

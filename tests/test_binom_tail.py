@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from certiprob import binom_tail
 from certiprob.binom_tail import (
     MethodNotApplicableError,
     NumericDegeneracyError,
+    TailBracket,
     TailQuery,
     convergent_stream,
     bahadur_tail,
@@ -18,7 +20,9 @@ from certiprob.binom_tail import (
 )
 from certiprob.numerics import LOG_PMF_ERROR_ULPS, binom_tail_exact, log_binom_pmf
 
-from _oracles import lead_term_fraction, tail_fraction_oracle, tail_interval_mpmath
+from _oracles import (
+    bracket_tail_halfsteps, lead_term_fraction, tail_fraction_oracle, tail_interval_mpmath,
+)
 
 
 def random_valid_query(rng, n_max=300, exact=True):
@@ -338,6 +342,87 @@ class TestBracketTail:
         bracket = left_tail_bracket(100, 20, Fraction(1, 2), tol=1e-10)
         exact_left = float(1 - tail_fraction_oracle(100, 20, Fraction(1, 2)))
         assert bracket.lower <= exact_left <= bracket.upper
+
+
+def depth_walk_queries(rng, count):
+    """(query, tol, k_max) for the depth walk's bit-for-bit test: float and
+    Fraction p, n up to 1e5, l from just past the mean to n - 1, tol from
+    1e-2 to 1e-14 (deep in a large n's tail some are out of reach), k_max
+    None or 1 to 7."""
+    out = []
+    while len(out) < count:
+        n = round(10 ** rng.uniform(0.5, 5))
+        if rng.random() < 0.5:
+            p = rng.uniform(0.01, 0.99)
+        else:
+            den = rng.randint(2, 1000)
+            p = Fraction(rng.randint(1, den - 1), den)
+        mean = n * Fraction(p)
+        if rng.random() < 0.1:
+            l = n - 1
+        else:
+            sd = math.sqrt(n * float(p) * (1 - float(p)))
+            l = min(math.floor(mean + rng.uniform(0, 12) * sd) + 1, n - 1)
+        if not mean < l < n:
+            continue
+        tol = 10 ** rng.uniform(-14, -2)
+        k_max = rng.choice((None, None, None, rng.randint(1, 7)))
+        out.append((TailQuery(n, l, p), tol, k_max))
+    return out
+
+
+class TestDepthWalk:
+    """bracket_tail takes a depth per step; the half-step walk pins its bits."""
+
+    def test_matches_the_half_step_walk_bit_for_bit(self):
+        stops, kinds_of_p, out_of_reach = set(), set(), 0
+        for q, tol, k_max in depth_walk_queries(random.Random(26), 2400):
+            got = bracket_tail(q, tol=tol, k_max=k_max)
+            want, kind = bracket_tail_halfsteps(q, tol=tol, k_max=k_max)
+            assert type(got) is TailBracket
+            assert repr(tuple(got)) == repr(tuple(want)), (q, tol, k_max)
+            stops.add((kind, got.converged, k_max is None, q.k_terminal == 0))
+            kinds_of_p.add(type(q.p))
+            out_of_reach += k_max is None and not got.converged and got.upper > sys.float_info.min
+        assert kinds_of_p == {float, Fraction} and out_of_reach
+        # converged stops after C_k and after D_k; unconverged ones at a cap
+        # (always a D) and, tol out of reach, after C_k and after D_k; and
+        # the depth-0 terminal at l = n - 1
+        for stop in (("C", True, True, False), ("D", True, True, False),
+                     ("D", False, False, False), ("C", False, True, False),
+                     ("D", False, True, False), ("D", True, True, True)):
+            assert stop in stops, stop
+
+    @pytest.mark.parametrize("p", [0.3, Fraction(3, 10)])
+    def test_stream_alternates_and_ends_at_the_terminal(self, p):
+        for n, l in ((20, 15), (60, 30), (400, 150)):
+            q = TailQuery(n, l, p)
+            stream = [(k, kind) for k, kind, _ in convergent_stream(q)]
+            expect = [(k, kind) for k in range(1, q.k_terminal + 1) for kind in "CD"]
+            assert stream == expect
+            assert stream[-1] == (q.k_terminal, "D")
+
+    def test_left_bracket_calls_bracket_tail_once(self, monkeypatch):
+        calls = []
+        original = binom_tail.bracket_tail
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(binom_tail, "bracket_tail", spy)
+        bracket = left_tail_bracket(3158, 1220, 0.39685706332926396, tol=1e-6)
+        assert len(calls) == 1 and bracket.converged
+
+    def test_tail_bracket_is_an_immutable_record(self):
+        a = TailBracket(0.25, 0.75, 3, -1.5)
+        assert a.converged is True
+        assert a == TailBracket(0.25, 0.75, 3, -1.5, True)
+        assert a != TailBracket(0.25, 0.75, 3, -1.5, False)
+        assert a.width == 0.5
+        for field in ("lower", "converged"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, 0.0)
 
 
 class TestBahadurTail:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import certiprob
-from certiprob import cli
+from certiprob import cli, lln_bounds
 from certiprob.cli import main, parse_alpha, parse_prob
 from certiprob.gems import QuadSurd
 
@@ -221,6 +221,17 @@ class TestSubcommands:
         )
         assert env["result"]["alpha"] == 1
         assert env["result"]["n_bound"] == 2
+
+    def test_lln_bernoulli_certifies_alpha_once(self, capsys, monkeypatch):
+        # the envelope's alpha and n_bound share one certified alpha
+        calls = []
+        alpha = lln_bounds.bernoulli_alpha
+        monkeypatch.setattr(lln_bounds, "bernoulli_alpha", lambda q: calls.append(q) or alpha(q))
+        _, env = run_json(capsys, "lln", "bernoulli", "--p", "0.3", "--eps", "0.05", "--eta", "0.01")
+        assert len(calls) == 1
+        query = calls[0]
+        assert env["result"]["alpha"] == alpha(query)
+        assert env["result"]["n_bound"] == lln_bounds.bernoulli_n_bound(query)
 
     @pytest.mark.parametrize("eps", ["1e-7", "1/100000000000000000000"])
     def test_lln_bernoulli_tiny_eps(self, capsys, eps):

@@ -748,6 +748,22 @@ class TestHitBuffer:
         monkeypatch.setattr(gems, "_hits", self.bincount_hits)
         assert got == check()
 
+    def test_constants_made_once_per_generator(self, monkeypatch):
+        # float(alpha) (64-bit floors of a QuadSurd) and the exact first
+        # floor are made once per generator, while _floors, through the
+        # module binding, still runs once per window and generator
+        made, windows, floats = [], [], []
+        constants, floors, to_float = gems._constants, gems._floors, QuadSurd.__float__
+        monkeypatch.setattr(gems, "_constants", lambda *a: made.append(a[0]) or constants(*a))
+        monkeypatch.setattr(gems, "_floors", lambda *a: windows.append(a[2]) or floors(*a))
+        monkeypatch.setattr(QuadSurd, "__float__", lambda q: floats.append(q) or to_float(q))
+        generators = [QuadSurd.golden(), Fraction(7, 3), 10**400]
+        got = [(lo, counts.copy()) for lo, counts in gems._hits(generators, 81_920)]
+        assert made == generators and len(floats) == 1
+        assert len(windows) == 2 * len(got) == 6  # 10^400 hits nothing
+        want = list(self.bincount_hits(generators[:2], 81_920))
+        assert all(g.tolist() == w.tolist() for (_, g), (_, w) in zip(got, want))
+
     def test_each_window_reuses_the_buffer(self):
         windows = gems._hits([Fraction(2), Fraction(3)], 3 * gems._WINDOW)
         first = next(windows)[1]

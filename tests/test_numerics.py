@@ -164,6 +164,18 @@ class TestTailStop:
             warnings.simplefilter("ignore", TailConventionWarning)  # l = n + 1
             assert binom_tail_exact(*query) == tail_full_sweep(*query)
 
+    def test_every_threshold_of_short_ranges(self):
+        # ranges of at most _STRAIGHT_MASSES masses are summed straight
+        # through, longer ones (l small at n > 128) run the stop
+        floats = (0.3, 0.02, 0.5, 0.97, 0.1)
+        fractions = (Fraction(1, 3), Fraction(1, 50), Fraction(1, 2), Fraction(49, 50), Fraction(7, 11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailConventionWarning)  # l = n + 1
+            for n in range(1, 151):
+                for p in (floats[n % 5], fractions[n % 5]):
+                    for l in range(-1, n + 2):
+                        assert binom_tail_exact(n, l, p) == tail_full_sweep(n, l, p), (n, l, p)
+
     @staticmethod
     def _count_masses(monkeypatch):
         """Patch the sweep to count the masses binom_tail_exact draws."""
