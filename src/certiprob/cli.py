@@ -48,11 +48,13 @@ FORMATS = ("json", "csv", "plain")
 
 
 def parse_prob(text: str):
-    """Decimal -> float, "a/b" -> exact Fraction."""
+    """Decimal -> float, "a/b" -> exact Fraction; b = 0 is a ValueError (a usage error)."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return float(text)
 
 

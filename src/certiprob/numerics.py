@@ -251,13 +251,10 @@ def _pmf_terms(n: int, lo: int, hi: int, p) -> list:
 
 
 # masses per direction before the first stopping test; each later test
-# takes twice as many more, so the fsum passes cost O(masses kept)
-_FIRST_CHUNK = 32
-# a range [l+1, n] of at most this many masses is summed straight through:
-# there the stopping tests cost more than the masses they save (timed, the
-# straight sum wins up to about 130 to 200 masses; at (60, 25, 0.3) it took
-# 11.4 us against 24.0, at (1000, 330, 0.3) 91 against 52)
-_STRAIGHT_MASSES = 4 * _FIRST_CHUNK
+# takes twice as many more, so the fsum passes cost O(masses kept).  The
+# first chunks take a range of at most this many masses whole, with no
+# test: on ranges that short a test costs more than the masses it saves
+_FIRST_CHUNK = 128
 
 
 def _rest_bound(t: float, ratio: float) -> float:
@@ -317,10 +314,10 @@ def binom_tail_exact(n: int, l: int, p) -> float:
     over [l+1, n], capped at 1.  fsum is exact for floats, so the
     summation order is immaterial.
 
-    A range of at most _STRAIGHT_MASSES masses is summed straight
-    through.  A longer one is swept down and up from the mode in chunks,
-    the first of _FIRST_CHUNK masses per direction and each later one
-    twice as large.  After each chunk the sweep stops once _settled_sum
+    The range is swept down and up from the mode in chunks, the first of
+    _FIRST_CHUNK masses per direction and each later one twice as large,
+    so a range of at most _FIRST_CHUNK masses is summed with no stopping
+    test.  After each chunk the sweep stops once _settled_sum
     proves that the masses not yet made cannot change the rounded sum:
     _rest_bound bounds each unfinished direction by a geometric series
     from its next exact pmf ratio, which only falls further from the
@@ -350,8 +347,6 @@ def binom_tail_exact(n: int, l: int, p) -> float:
     mode, t_mode, down, up = _pmf_sweeps(n, l + 1, n, p)
     if t_mode == 0.0:
         return 0.0
-    if n - l <= _STRAIGHT_MASSES:
-        return min(math.fsum(chain((t_mode,), down, up)), 1.0)
     q = den - num
     certify = n < 2**53 and min(num, q) / den >= 2.0**-900
     terms = [t_mode]

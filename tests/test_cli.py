@@ -441,6 +441,23 @@ class TestUsageErrors:
             main(["tail", "--n", "ten", "--l", "3", "--p", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--n", "10", "--l", "5", "--p", "1/0"],
+        ["lln", "cantelli", "--eps", "0/0", "--eta", "0.1"],
+        ["lln", "cantelli", "--eps", "0.1", "--eta", "3/0"],
+        ["runs", "--n", "10", "--r", "2", "--p", "1/0"],
+    ])
+    def test_zero_denominator_exits_two(self, capsys, argv):
+        # once a ZeroDivisionError traceback with exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "invalid parse_prob value" in err
+        assert "Traceback" not in err
+
 
 class TestWarningsChannel:
     """Every warning, the handler's own or the library's, rides in the envelope."""

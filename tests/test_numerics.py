@@ -165,8 +165,9 @@ class TestTailStop:
             assert binom_tail_exact(*query) == tail_full_sweep(*query)
 
     def test_every_threshold_of_short_ranges(self):
-        # ranges of at most _STRAIGHT_MASSES masses are summed straight
-        # through, longer ones (l small at n > 128) run the stop
+        # ranges of at most _FIRST_CHUNK masses fit in the first chunks,
+        # which are summed with no stopping test; longer ones (l small at
+        # n > 128) can reach one
         floats = (0.3, 0.02, 0.5, 0.97, 0.1)
         fractions = (Fraction(1, 3), Fraction(1, 50), Fraction(1, 2), Fraction(49, 50), Fraction(7, 11))
         with warnings.catch_warnings():
@@ -201,6 +202,33 @@ class TestTailStop:
         query = (10**7, 3005000, 0.3)
         assert binom_tail_exact(*query) == 0.0002801151848134074
         assert count[0] <= 20000
+
+    @staticmethod
+    def _count_proofs(monkeypatch):
+        """Patch _settled_sum to count its calls."""
+        calls = []
+        settled = numerics._settled_sum
+
+        def spy(terms, rest):
+            calls.append(len(terms))
+            return settled(terms, rest)
+
+        monkeypatch.setattr(numerics, "_settled_sum", spy)
+        return calls
+
+    def test_first_chunks_sum_without_a_proof(self, monkeypatch):
+        # 14 masses below the mode and 125 above: each direction ends
+        # inside its first chunk, so no stopping test runs
+        calls = self._count_proofs(monkeypatch)
+        query = (250, 110, 0.5)
+        assert binom_tail_exact(*query) == tail_full_sweep(*query) == 0.9667894243799783
+        assert calls == []
+
+    def test_long_range_runs_a_proof(self, monkeypatch):
+        calls = self._count_proofs(monkeypatch)
+        query = (1000, 330, 0.3)
+        assert binom_tail_exact(*query) == tail_full_sweep(*query)
+        assert len(calls) >= 1
 
     @pytest.mark.parametrize("query", [
         (10**7, 3005000, 0.3),

@@ -12,6 +12,7 @@ Every replay must agree bit for bit.
 list; run it only on code whose outputs are known to be right.
 """
 
+import builtins
 import json
 import math
 import random
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certiprob import lexis, runs
 from certiprob.runs import (
     BETA_TOL,
     CancellationError,
@@ -309,6 +311,49 @@ def test_golden_replay_is_bit_identical(case):
 
 def test_golden_is_recorded():
     assert len(GOLDEN) >= 300
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Built-in sum() as CPython 3.12 and later compute it: exact int
+    items, then Neumaier compensated summation over float (and small int)
+    items, and plain addition once any other type appears."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+    if type(result) is not float:
+        return builtins.sum(it, result)
+    total, c = result, 0.0
+    for item in it:
+        if type(item) is float:
+            t = total + item
+            c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif type(item) in (int, bool) and -2**63 <= item < 2**63:
+            total += float(item)
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return builtins.sum(it, total + item)
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="runs' float sums rely on the built-in sum's left-to-right "
+    "rounding, which Python 3.12 made compensated; about 74 golden cases "
+    "move by an ulp or so until no output depends on the built-in sum",
+)
+def test_golden_replay_under_compensated_sum(monkeypatch):
+    for module in (runs, lexis):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    moved = [case for case in GOLDEN if _outputs(case) != case["want"]]
+    assert moved == []
 
 
 if __name__ == "__main__":
