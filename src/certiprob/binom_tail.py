@@ -16,18 +16,13 @@ Truncating the fraction after a -c_k gives the convergent C_k, after a
 so any even-indexed convergent is a certified lower bound for S and any
 odd-indexed one a certified upper bound.  The terminal convergent
 D_{n-l-1} equals S exactly; at l = n - 1 that is D_0 = 1, the lead term
-alone, which bracket_tail walks as its only item.
+alone, where bracket_tail's walk takes no step.
 
 Convergents are computed by the forward two-term recursion on numerators
-A_m and denominators B_m (no bottom-up restart needed to refine).  In
-floats A and B are rescaled jointly by 2**-512 when either outgrows
-2**512 and by 2**512 when both fall below 2**-512, so they neither
-overflow nor underflow at any depth; a power of two is exact in binary
-floating point, so the ratios A_m/B_m are bit-identical whether or not a
-rescale fired.
-
-There is one walk, _convergents, and it goes a depth at a time: each
-step makes both half-steps of depth k and yields (k, C_k, D_k).
+A_m and denominators B_m (no bottom-up restart needed to refine), in one
+walk, _convergents, a depth at a time: each step makes both half-steps
+of depth k and yields (k, C_k, D_k).  In floats it tests once per depth
+for a joint power-of-two rescale of A and B, which keeps every bit.
 bracket_tail runs it in floats, with coefficients built from the exact
 ratio p/q rounded once, and pushes its endpoints out by a margin derived
 from the error bounds of the lead term, the recursion and that rounding
@@ -56,8 +51,7 @@ from typing import NamedTuple, Optional
 from .numerics import LOG_PMF_ERROR_ULPS, LogProb, _p_ratio, log_binom_pmf
 
 # |A| or |B| beyond RESCALE_THRESHOLD triggers a joint rescale by RESCALE,
-# and both below RESCALE one by RESCALE_THRESHOLD (exact in binary
-# floats, so convergent ratios are unaffected bit-for-bit).
+# and both below RESCALE one by RESCALE_THRESHOLD (exact in binary floats).
 RESCALE_THRESHOLD = 2.0**512
 RESCALE = 2.0**-512
 
@@ -138,47 +132,46 @@ class TailQuery:
 def _convergents(n: int, l: int, k_cap: int, odds):
     """Yield (k, C_k, D_k) for k = 1 .. k_cap, one item per depth.
 
-    Each depth makes two half-steps of the recursion, m = 2k (the
-    coefficient -c_k) and m = 2k + 1 (d_k), each followed by the joint
-    rescale test, and C_k = A_{2k}/B_{2k}, D_k = A_{2k+1}/B_{2k+1}.  Exact
-    rationals when odds is a Fraction; otherwise floats, with the joint
-    power-of-two rescale.  Both coefficients of half-step m share the
-    denominator (l + m - 1)(l + m); c_k enters negated, and A + (-c)*A_prev
-    rounds exactly as A - c*A_prev does.
+    Each depth makes two half-steps, m = 2k (the coefficient -c_k) and
+    m = 2k + 1 (d_k), and C_k = A_{2k}/B_{2k}, D_k = A_{2k+1}/B_{2k+1}:
+    exact rationals when odds is a Fraction, else floats, with one joint
+    power-of-two rescale test per depth, after D_k.  It suffices as no
+    coefficient reaches 1: l > np is p/q < l/(n - l), and k < n - l, so
+    c_k < l(l+k)/[(l+2k-1)(l+2k)] <= l/(l+2) and d_k < kl/[(k+1)(l+2k)]
+    (largest at n - l = k + 1).  Every A_m and B_m is then positive, a
+    half-step at most doubles them and a C half-step keeps at least
+    1 - c_k > 2/(l+2) of them, so between tests they stay hundreds of
+    binades inside the normal range, where a power of two scales exactly:
+    every C_k and D_k keeps the bits of the unrescaled recursion.  Both
+    coefficients of half-step m share the denominator (l + m - 1)(l + m);
+    c_k enters negated, and A + (-c)*A_prev rounds as A - c*A_prev does.
+    A zero denominator raises NumericDegeneracyError naming the depth.
     """
     exact = isinstance(odds, Fraction)
     big, small = RESCALE_THRESHOLD, RESCALE
     nbig, nsmall = -big, -small
     A_prev, A, B_prev, B = 0, 1, 1, 1  # the first coefficient sets the type
     lm = l + 1  # l + m - 1 at m = 2k
-    for k in range(1, k_cap + 1):
-        coeff = -((n - k - l) * (l + k) * odds / (lm * (lm + 1)))
-        A_prev, A = A, A + coeff * A_prev
-        B_prev, B = B, B + coeff * B_prev
-        if not exact:
-            if not (nbig <= A <= big and nbig <= B <= big):
-                A, B, A_prev, B_prev = A * small, B * small, A_prev * small, B_prev * small
-            elif nsmall < A < small and nsmall < B < small:
-                A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
-        try:
+    try:
+        for k in range(1, k_cap + 1):
+            coeff = -((n - k - l) * (l + k) * odds / (lm * (lm + 1)))
+            A_prev, A = A, A + coeff * A_prev
+            B_prev, B = B, B + coeff * B_prev
             c = A / B
-        except ZeroDivisionError:
-            raise NumericDegeneracyError(f"B_{2 * k} = 0") from None
-        lm += 1
-        coeff = k * (n + k) * odds / (lm * (lm + 1))
-        lm += 1
-        A_prev, A = A, A + coeff * A_prev
-        B_prev, B = B, B + coeff * B_prev
-        if not exact:
-            if not (nbig <= A <= big and nbig <= B <= big):
-                A, B, A_prev, B_prev = A * small, B * small, A_prev * small, B_prev * small
-            elif nsmall < A < small and nsmall < B < small:
-                A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
-        try:
+            lm += 1
+            coeff = k * (n + k) * odds / (lm * (lm + 1))
+            lm += 1
+            A_prev, A = A, A + coeff * A_prev
+            B_prev, B = B, B + coeff * B_prev
             d = A / B
-        except ZeroDivisionError:
-            raise NumericDegeneracyError(f"B_{2 * k + 1} = 0") from None
-        yield k, c, d
+            if not exact:
+                if not (nbig <= A <= big and nbig <= B <= big):
+                    A, B, A_prev, B_prev = A * small, B * small, A_prev * small, B_prev * small
+                elif nsmall < A < small and nsmall < B < small:
+                    A, B, A_prev, B_prev = A * big, B * big, A_prev * big, B_prev * big
+            yield k, c, d
+    except ZeroDivisionError:
+        raise NumericDegeneracyError(f"a convergent denominator is 0 at depth {k}") from None
 
 
 def _flatten(depths):
@@ -234,8 +227,8 @@ def bracket_tail(
     upper - lower <= tol * upper (checked after every new convergent, so a
     run may stop midway through a depth), or at the terminal depth
     n - l - 1 where the last convergent equals the tail exactly, or at
-    k_max, whichever comes first; at l = n - 1 that is D_0 = 1, under the
-    depth-0 guard.  converged is True exactly when the returned endpoints
+    k_max, whichever comes first; at l = n - 1 that is D_0 = 1, seeded as
+    both sides.  converged is True exactly when the returned endpoints
     meet tol, which must be positive (not nan; inf is allowed).
 
     Without k_max the walk also stops, with converged=False, once tol is
@@ -266,6 +259,8 @@ def bracket_tail(
     on the same side of S (odd k above, even k below), the guard is formed
     once per depth, and D_k recomputes only its own endpoint, and only if
     it moved; an endpoint that did not move leaves both tests as they were.
+    The terminal D_k sets both sides and ends the walk, and the returned
+    endpoints are formed in one place, after it.
     """
     if not tol > 0:  # false for nan too
         raise ValueError(f"tol must be positive, got {tol}")
@@ -285,18 +280,8 @@ def bracket_tail(
     floor = _RECURSION_ULPS * _U  # the guard's growth per depth
     u, ulps, base, tiny = _U, _RECURSION_ULPS, _BASE_ULPS, _TINY
 
-    if not k_term:
-        # l = n - 1 has no coefficients: the terminal convergent D_0 = 1 is S
-        k = 0
-        g = _guard(lead_ulps, 0, kappa)
-        upper = lead * (1.0 + g)
-        if upper > 1.0:
-            upper = 1.0
-        lower = lead * (1.0 - g)
-        if not lower >= tiny:
-            lower = 0.0
-    best_lo = 0.0  # even side, in S units
-    best_hi = math.inf  # odd side; C_1 comes first, so it is finite below
+    k = 0
+    best_lo, best_hi = (0.0, math.inf) if k_term else (1.0, 1.0)  # l = n - 1: D_0 = 1 = S
     for k, c, d in _convergents(n, l, k_cap, odds):
         g = u * (lead_ulps + ulps * (k + kappa) + base)  # _guard(lead_ulps, k, kappa)
         up_f, lo_f = 1.0 + g, 1.0 - g
@@ -321,13 +306,8 @@ def bracket_tail(
         # D_k: only the endpoint on its side can move
         if k == k_term:
             best_lo = best_hi = d  # terminal convergent equals S exactly
-            upper = lead * best_hi * up_f
-            if upper > 1.0:
-                upper = 1.0
-            lower = lead * best_lo * lo_f
-            if not lower >= tiny:
-                lower = 0.0
-        elif odd:
+            break
+        if odd:
             if not d < best_hi:
                 continue
             best_hi = d
@@ -345,8 +325,13 @@ def bracket_tail(
             break
         if spent and best_hi - best_lo <= floor * (best_hi + best_lo):
             break
+    g = u * (lead_ulps + ulps * (k + kappa) + base)  # _guard(lead_ulps, k, kappa)
+    upper = lead * best_hi * (1.0 + g)
+    upper = 1.0 if upper > 1.0 else upper
     if upper < tiny:
         return TailBracket(0.0, tiny, k, lead_log, False)
+    lower = lead * best_lo * (1.0 - g)
+    lower = lower if lower >= tiny else 0.0
     return TailBracket(lower, upper, k, lead_log, upper - lower <= tol * upper)
 
 

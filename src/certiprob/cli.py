@@ -23,9 +23,10 @@ refused memory allocation (structured error envelope on stdout) or a
 failed self-check (`runs --method all` methods that disagree: the
 envelope keeps its result and names the gap in warnings), 2 usage error
 (argparse diagnostic on stderr).  stderr carries nothing but argparse's
-usage diagnostics.  JSON has no form for inf or nan, so render refuses
-an envelope that holds one with NonFiniteResultError (exit 1), in every
-format; an error envelope echoes such an argument as its repr string.
+usage diagnostics.  JSON has no form for inf or nan, so every envelope,
+success or error, echoes a non-finite input as its repr string ("inf",
+"nan"), and render refuses a non-finite result with NonFiniteResultError
+(exit 1), in every format.
 """
 
 from __future__ import annotations
@@ -124,6 +125,11 @@ class NonFiniteResultError(ArithmeticError):
 
 def _non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
+
+
+def _echo(inputs: dict) -> dict:
+    """The inputs as an envelope echoes them: an inf or nan as its repr string."""
+    return {k: repr(v) if _non_finite(v) else v for k, v in inputs.items()}
 
 
 def _refuse_non_finite(rows) -> None:
@@ -572,20 +578,19 @@ def main(argv=None) -> int:
                 inputs, result = handler(args)
             except SelfCheckFailed as exc:
                 (inputs, result), code = exc.args, 1
-            envelope.update(inputs=inputs, result=result,
+            envelope.update(inputs=_echo(inputs), result=result,
                             provenance=list(result if provenance is None else provenance),
                             warnings=[str(w.message) for w in caught])
             text = render(envelope, args.format)
         except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
             # The error envelope echoes the parsed arguments, leaving out the
-            # path, --format, and the global --seed and --tol when not given;
-            # an inf or nan argument is echoed as its repr string.
+            # path, --format, and the global --seed and --tol when not given.
             inputs = {
-                k: repr(v) if _non_finite(v) else v for k, v in vars(args).items()
+                k: v for k, v in vars(args).items()
                 if k not in ("cmd", "sub", "format")
                 and not (v is None and k in ("seed", "global_tol"))
             }
-            envelope.update(inputs=inputs, result=None, provenance=[],
+            envelope.update(inputs=_echo(inputs), result=None, provenance=[],
                             warnings=[str(w.message) for w in caught],
                             error={"type": type(exc).__name__, "message": str(exc)})
             text, code = render(envelope, args.format), 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import _as_fraction
@@ -31,17 +31,20 @@ class LlnQuery:
     p: object
     eps: object
     eta: object
+    exact: tuple = field(init=False, repr=False, compare=False)  # (p, eps, eta) as Fractions
 
     def __post_init__(self):
-        pf, ef, hf = map(_as_fraction, (self.p, self.eps, self.eta))
-        for name, v in (("p", pf), ("eps", ef), ("eta", hf)):
-            if not (0 < v < 1):
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {v}")
-        if pf + ef > 1:
+        given = (self.p, self.eps, self.eta)
+        exact = tuple(map(_as_fraction, given))
+        for name, v, x in zip(("p", "eps", "eta"), given, exact):
+            if not (0 < x < 1):
+                raise ValueError(f"{name} must lie strictly in (0, 1), got {v!r}")
+        if exact[0] + exact[1] > 1:
             raise ValueError(
                 f"p + eps must not exceed 1 for the upper-tail event to be "
                 f"non-trivial (p={self.p!r}, eps={self.eps!r})"
             )
+        object.__setattr__(self, "exact", exact)
 
 
 def _ln_enclosure(q: Fraction, prec: int):
@@ -80,9 +83,7 @@ def bernoulli_alpha(query: LlnQuery) -> int:
     settled by one exact power.  Otherwise alpha = floor(x) + 1, with the
     floor taken from decimal logs by _floor_of.
     """
-    p = _as_fraction(query.p)
-    eps = _as_fraction(query.eps)
-    eta = _as_fraction(query.eta)
+    p, eps, eta = query.exact
     ratio = p / (p + eps)
     k = round(math.log(eta.denominator) / math.log(ratio.denominator))
     if ratio**k == eta:
@@ -112,8 +113,7 @@ def bernoulli_n_bound(query: LlnQuery) -> int:
 
 def _n_bound(query: LlnQuery, alpha: int) -> int:
     """bernoulli_n_bound for alpha = bernoulli_alpha(query), already in hand."""
-    p = _as_fraction(query.p)
-    eps = _as_fraction(query.eps)
+    p, eps, _ = query.exact
     q = 1 - p
     bound = (alpha * (1 + eps) - q) / (eps * (p + eps))
     return max(1, math.ceil(bound))
@@ -124,8 +124,8 @@ def upper_count(n: int, query: LlnQuery) -> int:
 
     The certified one-sided event at sample size n is {S_n >= mu}.
     """
-    x = n * _as_fraction(query.p) + n * _as_fraction(query.eps)
-    return math.ceil(x)
+    p, eps, _ = query.exact
+    return math.ceil(n * p + n * eps)
 
 
 def bernoulli_n_bound_two_sided(query: LlnQuery) -> int:
@@ -135,9 +135,7 @@ def bernoulli_n_bound_two_sided(query: LlnQuery) -> int:
     with the lower tail handled on the flipped coin (p -> q).  The flipped
     query needs q + eps <= 1, i.e. eps <= p.
     """
-    p = _as_fraction(query.p)
-    eps = _as_fraction(query.eps)
-    eta = _as_fraction(query.eta)
+    p, eps, eta = query.exact
     if eps > p:
         raise ValueError(
             f"two-sided bound needs eps <= p so the lower-tail event is "

@@ -154,33 +154,59 @@ class TestConvergentRecursion:
             for name, value in (("n", 9), ("l", 3), ("p", p)):
                 object.__setattr__(q, name, value)
             assert cf_pair(q, 1)[0] == 1
-            with pytest.raises(NumericDegeneracyError):
+            with pytest.raises(NumericDegeneracyError, match=r"is 0 at depth 1$"):
                 next(convergent_stream(q))
-            with pytest.raises(NumericDegeneracyError):
+            with pytest.raises(NumericDegeneracyError, match=r"is 0 at depth 1$"):
                 bracket_tail(q)
 
+    # (n, l, p, the first half-step where the unrescaled A and B are both
+    # below 2**-512, the rescales of the walk as (direction, depth))
+    RESCALED_WALKS = [
+        # B shrinks about 100x a depth: A and B first fall below 2**-512
+        # right after C_146, where a test after every half-step fired; the
+        # walk rescales after D_146
+        (100000, 31000, 0.3, 292, [("up", 146)]),
+        # below 2**-512 right after C_506, and back up toward the terminal
+        # D_1876: the walk rescales up after D_508 and down after D_1871
+        (9692, 7815, 0.8, 1012, [("up", 508), ("down", 1871)]),
+        # the float walk bracket_tail runs for a Fraction p, on p/q rounded once
+        (10000, 3100, Fraction(3, 10), 648, [("up", 324), ("down", 6881)]),
+    ]
+
     def test_rescaling_preserves_ratios_bitwise(self):
-        # a plain float walk, never rescaled, takes B below 2**-512 within
-        # 300 convergents; the stream rescales on the way and must still
-        # give the same ratios bit for bit (a power of two is exact)
-        q = TailQuery(100000, 31000, 0.3)
-        n, l = q.n, q.l
-        odds = float(Fraction(q.p) / (1 - Fraction(q.p)))
-        A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
-        plain, smallest = [], 1.0
-        for m in range(2, 302):
-            k = m >> 1
-            if m & 1:
-                coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
-            else:
-                coeff = -((n - k - l) * (l + k) * odds / ((l + m - 1) * (l + m)))
-            A_prev, A = A, A + coeff * A_prev
-            B_prev, B = B, B + coeff * B_prev
-            smallest = min(smallest, abs(B))
-            plain.append(A / B)
-        assert smallest < 2.0**-512
-        stream = convergent_stream(q)
-        assert [next(stream)[2] for _ in plain] == plain
+        # the plain float recursion, never rescaled, while its A and B stay
+        # normal: every C_k and D_k of the rescaled walk must have its bits,
+        # as a power of two scales exactly
+        for n, l, p, first_low, moves in self.RESCALED_WALKS:
+            num, den = Fraction(p).as_integer_ratio()
+            odds = num / (den - num)
+            A_prev, A, B_prev, B = 0.0, 1.0, 1.0, 1.0
+            plain, low, scale, seen = [], [], 0, []
+            for m in range(2, 2 * (n - l)):
+                k = m >> 1
+                if m & 1:
+                    coeff = k * (n + k) * odds / ((l + m - 1) * (l + m))
+                else:
+                    coeff = -((n - k - l) * (l + k) * odds / ((l + m - 1) * (l + m)))
+                A_prev, A = A, A + coeff * A_prev
+                B_prev, B = B, B + coeff * B_prev
+                top = max(abs(A), abs(B))
+                if not (2.0**-1000 < min(abs(A), abs(B)) and top < 2.0**1000):
+                    break
+                plain.append(A / B)
+                if top < 2.0**-512:
+                    low.append(m)
+                if m & 1:  # the walk's test after D_k, on A and B as it holds them
+                    held = math.ldexp(top, 512 * scale)
+                    if held > 2.0**512:
+                        scale -= 1
+                        seen.append(("down", k))
+                    elif held < 2.0**-512:
+                        scale += 1
+                        seen.append(("up", k))
+            assert (low[0], seen) == (first_low, moves)
+            walk = binom_tail._convergents(n, l, (len(plain) + 1) // 2, odds)
+            assert [v for _, c, d in walk for v in (c, d)][:len(plain)] == plain
 
     def test_walk_to_terminal_depth_without_underflow(self):
         # B shrinks about 100x a depth here; without the upward rescale it

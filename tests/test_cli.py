@@ -660,22 +660,47 @@ class TestFloatRefusal:
             env = json.loads(out, parse_constant=no_constant)
             assert env["result"] is None
 
-    def test_non_finite_input_refused(self, capsys):
+    def test_infinite_tol_answered(self, capsys):
+        # the input is echoed as text; C_1 alone meets an infinite tol
         code, out = run_cli(capsys, "tail", "--n", "200", "--l", "80", "--p", "0.3", "--tol", "inf")
-        env = json.loads(out, parse_constant=no_constant)
-        assert code == 1
-        assert env["error"]["type"] == "NonFiniteResultError"
-        assert env["inputs"]["tol"] == "inf"
-
-    def test_infinite_threshold_refused_as_input_alone(self, capsys):
-        # the bound itself has the limit 0 at t = inf; only the input is non-finite
-        code, out = run_cli(capsys, "bernstein", "bound", "--b2", "1", "--t", "inf", "--c", "1")
-        env = json.loads(out, parse_constant=no_constant)
-        assert code == 1
-        assert env["error"] == {
-            "type": "NonFiniteResultError",
-            "message": "inputs.t = inf: an envelope carries only finite numbers",
+        assert code == 0
+        assert json.loads(out, parse_constant=no_constant) == {
+            "command": "tail",
+            "inputs": {"n": 200, "l": 80, "p": 0.3, "tol": "inf", "kmax": None},
+            "result": {
+                "lower": 0.0,
+                "upper": 0.0010553678257824626,
+                "k_used": 1,
+                "converged": True,
+                "lead_term_log": -7.8265979655667754,
+                "exact": 0.001008411006337226,
+            },
+            "provenance": ["cf-bracket-forward-recursion", "exact-sum-oracle"],
+            "warnings": [],
         }
+
+    def test_infinite_threshold_answered(self, capsys):
+        # the bound has the limit 0 at t = inf and no sum exceeds it; only
+        # the input is non-finite, and it is echoed as text
+        for argv, want in [
+            (["bernstein", "bound", "--b2", "1", "--t", "inf", "--c", "1"], {
+                "command": "bernstein bound",
+                "inputs": {"B_n_sq": 1.0, "t": "inf", "c": 1.0, "M": None},
+                "result": {"bound": 0.0},
+                "provenance": ["exponential-tail-bound"],
+                "warnings": [],
+            }),
+            (["--seed", "1", "bernstein", "mc", "--n", "30", "--t", "inf", "--samples", "1000"], {
+                "command": "bernstein mc",
+                "inputs": {"n": 30, "t": "inf", "samples": 1000, "seed": 1},
+                "result": {"p_hat": 0.0, "se": 0.001, "bound": 0.0},
+                "provenance": ["seeded-monte-carlo", "exponential-tail-bound"],
+                "warnings": [],
+            }),
+        ]:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out, parse_constant=no_constant) == want
 
     def test_nan_tol_refused_before_the_walk(self, capsys):
         code, out = run_cli(capsys, "tail", "--n", "20000", "--l", "6100", "--p", "0.3", "--tol", "nan")

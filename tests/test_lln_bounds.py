@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from certiprob import lln_bounds
 from certiprob.lln_bounds import (
     LlnQuery,
     bernoulli_alpha,
@@ -124,8 +125,22 @@ class TestBernoulliNBound:
     def test_invalid_query(self):
         with pytest.raises(ValueError):
             LlnQuery(0.9, 0.2, 0.1)  # p + eps > 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eps must lie strictly in \(0, 1\), got 0\.0$"):
             LlnQuery(0.5, 0.0, 0.1)
+        with pytest.raises(ValueError, match=r"^p must lie strictly in \(0, 1\), got 1\.1$"):
+            LlnQuery(1.1, 0.1, 0.1)  # not the exact 2476979795053773/2251799813685248
+
+    def test_inputs_read_once(self, monkeypatch):
+        # the query keeps its inputs as given and their exact values beside
+        # them; the bounds compute from those and convert nothing again
+        q = LlnQuery(0.3, 0.05, 0.01)
+        assert (q.p, q.eps, q.eta) == (0.3, 0.05, 0.01)
+        assert q.exact == (Fraction(0.3), Fraction(0.05), Fraction(0.01))
+        assert repr(q) == "LlnQuery(p=0.3, eps=0.05, eta=0.01)"
+        want = (bernoulli_alpha(q), bernoulli_n_bound(q))
+        monkeypatch.setattr(lln_bounds, "_as_fraction", None)
+        assert (bernoulli_alpha(q), bernoulli_n_bound(q)) == want
+        assert upper_count(want[1], q) == math.ceil(want[1] * (Fraction(0.3) + Fraction(0.05)))
 
 
 class TestUpperCount:
@@ -140,7 +155,7 @@ class TestUpperCount:
 
 class TestTwoSided:
     def test_requires_eps_below_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(p=0\.1, eps=0\.3\)$"):
             bernoulli_n_bound_two_sided(LlnQuery(0.1, 0.3, 0.1))
 
     def test_covers_both_tails(self):
