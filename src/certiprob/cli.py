@@ -88,9 +88,10 @@ def read_counts_csv(path: str):
 
 
 def read_matrix_csv(path: str):
-    """Header-less CSV of probabilities, one series per row."""
+    """Header-less CSV of probabilities, one series per row, each cell read
+    by parse_prob, so "1/5" stays an exact Fraction."""
     with open(path, newline="") as fh:
-        return [[float(parse_prob(x)) for x in row] for row in csv.reader(fh) if row]
+        return [[parse_prob(x) for x in row] for row in csv.reader(fh) if row]
 
 
 # --------------------------------------------------------------------------

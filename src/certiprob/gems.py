@@ -19,9 +19,10 @@ Four loosely related classics, all with exact integer backbones:
   consecutive integers, so they hold O(window) memory at any horizon, and
   stop at the first window that settles the answer: a triple's witness or
   a rational pair's collision usually ends the scan early, while an
-  irrational pair still scans the whole horizon.  A generator that is not
-  above 1 or is infinite, and a horizon of 2^63 - 1 or more, are refused
-  with ValueError;
+  irrational pair still scans the whole horizon.  One function reads
+  every generator: alpha > 1 is decided exactly, and alpha <= 1, an
+  infinite alpha and a horizon of 2^63 - 1 or more are refused with
+  ValueError, even beside a horizon below the first floor;
 * the cold positions of Wythoff's game are (floor(n*phi), floor(n*phi^2)),
   read off the golden-ratio spectrum;
 * partition counts p(n) by the pentagonal-number recurrence, summed over
@@ -51,9 +52,11 @@ from .numerics import _as_fraction
 # shuffles
 
 
-def _check_deck(two_n: int) -> None:
+def _check_deck(two_n: int, times: int = 0) -> None:
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError(f"deck size must be even and positive, got {two_n}")
+    if times < 0:
+        raise ValueError(f"times must be non-negative, got {times}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,7 @@ def in_shuffled(two_n: int, times: int) -> list:
     j * 2^(-times) mod 2n+1: one pow and one pass, whatever `times` is.
     perfect_in_shuffle deals the same arrangement one shuffle at a time.
     """
-    _check_deck(two_n)
-    if times < 0:
-        raise ValueError(f"times must be non-negative, got {times}")
+    _check_deck(two_n, times)
     step = pow(2, -times, two_n + 1)
     return [j * step % (two_n + 1) for j in range(1, two_n + 1)]
 
@@ -283,9 +284,7 @@ def monge_shuffled(two_n: int, times: int) -> list:
     card labelled +-y * 2^times mod 4n+1, the one of the pair in 2n+1..4n
     (the two sum to 4n+1): card label - 2n.  monge_shuffle deals the same.
     """
-    _check_deck(two_n)
-    if times < 0:
-        raise ValueError(f"times must be non-negative, got {times}")
+    _check_deck(two_n, times)
     m = 2 * two_n + 1
     step = pow(2, times, m)
     return [max(x, m - x) - two_n for x in (y * step % m for y in range(two_n + 1, m))]
@@ -375,48 +374,38 @@ Alpha = Union[QuadSurd, Fraction, float]
 _WINDOW = 1 << 15
 
 
-def _check_generator(alpha: Alpha) -> None:
-    """Refuse alpha <= 1, decided exactly (float(alpha) rounds a generator
-    such as 2^54 / (2^54 - 1) down to 1.0), and an infinite alpha."""
+def _constants(alpha: Alpha, horizon: int, start: int = 1):
+    """Read a generator: (float(alpha), exact floor of m*alpha) for
+    _floors, or None when floor(start*alpha) > horizon.  Every Beatty
+    entry point reads its generators here alone.
+
+    Refuses with ValueError a horizon whose cap int64 cannot hold, alpha
+    <= 1, decided exactly (float(alpha) rounds a generator such as 2^54 /
+    (2^54 - 1) down to 1.0), and an infinite alpha.  The exact floor is
+    QuadSurd.floor_times, or integer division on the exact rational an
+    int, float or Fraction alpha is; it gives the first floor before the
+    correctly rounded float(alpha), which overflows past 2^1024, so 10^400
+    gives None.
+    """
+    if horizon >= 2**63 - 1:
+        raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
     if isinstance(alpha, QuadSurd):
-        above = alpha.floor_times(1) >= 1  # irrational, so never exactly 1
+        exact_floor = alpha.floor_times
+        first = exact_floor(start)
+        above = first >= start  # start * alpha is irrational, so never exactly start
     else:
         above = alpha > 1  # ints, floats and Fractions compare exactly; nan fails
     if not above:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     if alpha == math.inf:
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-
-
-def _constants(alpha: Alpha, horizon: int, start: int = 1):
-    """(float(alpha), exact floor of m*alpha) for _floors, or None when
-    floor(start*alpha) > horizon, so that _floors gives nothing from start.
-
-    A generator that is not a float has that first floor taken exactly
-    before any float conversion, so one past the float range (10^400)
-    gives None rather than an OverflowError.  float(alpha) is correctly
-    rounded; the exact floor is QuadSurd.floor_times, or integer division
-    on the exact rational a Fraction, int or float alpha is.  Refuses with
-    ValueError an alpha not above 1 or infinite, and a horizon whose cap
-    int64 cannot hold.
-    """
-    if horizon >= 2**63 - 1:
-        raise ValueError(f"horizon must be below 2^63 - 1, got {horizon}")
-    if not isinstance(alpha, float):
-        # exact, before float(alpha), which overflows past 2^1024
-        first = alpha.floor_times(start) if isinstance(alpha, QuadSurd) else math.floor(start * alpha)
-        if first > horizon:
-            return None
-        if first < start:  # alpha < 1, perhaps far below -2^1024
-            _check_generator(alpha)
-    a = float(alpha)  # start * alpha < horizon + 1 < 2^63 for any other alpha
-    if not 1 < a < math.inf:  # a rounds correctly, so a > 1 already proves alpha > 1
-        _check_generator(alpha)
-    if isinstance(alpha, QuadSurd):
-        return a, alpha.floor_times
-    af = _as_fraction(alpha)  # floats convert exactly
-    num, den = af.numerator, af.denominator
-    return a, lambda m: m * num // den
+    if not isinstance(alpha, QuadSurd):
+        num, den = _as_fraction(alpha).as_integer_ratio()  # floats convert exactly
+        exact_floor = lambda m: m * num // den
+        first = exact_floor(start)
+    if first > horizon:
+        return None
+    return float(alpha), exact_floor  # start * alpha < horizon + 1 < 2^63
 
 
 def _floors(alpha: Alpha, horizon: int, start: int = 1, constants=None):
@@ -427,12 +416,12 @@ def _floors(alpha: Alpha, horizon: int, start: int = 1, constants=None):
     or of the exact rational a Fraction, int or float alpha is.  Guesses
     and exact floors are capped at horizon + 1 before they are stored as
     int64, so a generator past 2^63 cannot overflow the store; floors past
-    the horizon are never returned.  constants is _constants(alpha, h, s)
-    for some h >= horizon and s <= start, when the caller has it, and is
-    made here otherwise; a generator past the float range (10^400) gives
-    an empty spectrum rather than an OverflowError.  Refuses with
-    ValueError an alpha not above 1 or infinite, and a horizon whose cap
-    int64 cannot hold.
+    the horizon are never returned.  alpha is read by _constants alone:
+    constants is _constants(alpha, h, s) for some h >= horizon and s <=
+    start, when the caller has read it, and is read here otherwise, so a
+    bad generator is refused even beside a horizon below its first floor,
+    and one past the float range (10^400) gives an empty spectrum rather
+    than an OverflowError.
     """
     import numpy as np
 
@@ -471,8 +460,9 @@ def _hits(generators: Sequence[Alpha], horizon: int):
     generator keeps a cursor, its first n whose floor lies past the
     windows already counted, so a window computes only its own floors
     (and the few past its edge that _floors' float guesses overshoot).
-    A generator's float value and exact floor are made once, not per
-    window, and one whose first floor lies past the horizon hits nothing.
+    Each generator is read once, not per window, by _constants, which
+    refuses a bad one even with nothing to count; one whose first floor
+    lies past the horizon hits nothing.
 
     All windows share one int8 buffer, which holds up to 127 generators:
     counts is a view of it, valid only until the next window is asked
@@ -540,7 +530,7 @@ def beatty_pair_check(alpha: Alpha, horizon: int) -> BeattyPairReport:
 
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    _check_generator(alpha)
+    _constants(alpha, 0)  # refuses a bad alpha; horizon 0 ends the read before float(alpha)
     if isinstance(alpha, QuadSurd):
         beta: Alpha = alpha.pair_partner()
     else:

@@ -16,7 +16,9 @@ An exact p = a/d (a Fraction) runs as integer recurrences over d^n:
 each method carries d^t times its state as an exact integer, with
 q = c/d, and builds one Fraction at the end, so no step pays for a gcd.
 A float p runs the same recurrences with (a, c, d) = (p, 1 - p, 1.0) and
-gives float results.  The closed form alternates in sign, so for float
+gives float results, its sums added left to right in explicit loops:
+Python 3.12 made the built-in sum compensated, and these keep their bits
+on every version.  The closed form alternates in sign, so for float
 p it raises CancellationError when its rounding error bound exceeds
 BETA_TOL rather than return a value that cancelled away.
 """
@@ -29,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from operator import mul
 
 from .numerics import _p_ratio
 
@@ -199,7 +200,9 @@ def run_prob_demoivre(spec: RunSpec):
     window = deque([d**0], maxlen=r)  # B_{k-1}, B_{k-2}, ..., newest first
     total = d**0  # sum_{i<k} B_i d^(k-1-i)
     for _ in range(n - r):
-        b = sum(map(mul, weights, window))
+        b = 0  # left to right, not sum()
+        for w, s in zip(weights, window):
+            b += w * s
         window.appendleft(b)
         total = total * d + b
     return _ratio(a**r * total, d**n)
@@ -221,7 +224,9 @@ def run_prob_oracle(spec: RunSpec):
     run = [d**0]  # trailing run of length 0 .. min(t, r - 1)
     seen = 0 * a
     for _ in range(n):
-        head = sum([c * s for s in run])
+        head = 0  # left to right, not sum()
+        for s in run:
+            head += c * s
         seen *= d
         if len(run) == r:
             seen += a * run.pop()

@@ -266,6 +266,14 @@ class TestSubcommands:
         assert env["result"]["regime"] == "lexis"
         assert env["result"]["D"] > 1
 
+    def test_lexis_matrix_csv_keeps_rationals(self, capsys, tmp_path):
+        # D is exactly 37/25; cells read as floats gave 1.4800000000000002
+        matrix = tmp_path / "probs.csv"
+        matrix.write_text("1/5,1/5,1/5\n4/5,4/5,4/5\n1/2,1/2,1/2\n")
+        code, env = run_json(capsys, "lexis", "d", "--matrix-csv", str(matrix))
+        assert code == 0
+        assert env["result"]["D"] == 1.48
+
     def test_lexis_moments(self, capsys):
         _, env = run_json(
             capsys, "lexis", "moments", "--n", "2", "--s", "2", "--p", "1/2"

@@ -620,10 +620,17 @@ def test_triple_with_a_generator_past_the_float_range(alphas):
     (lambda: spectrum(1.5, 2**63 - 1), r"horizon must be below 2\^63 - 1"),
     # below 1 and past the float range: refused before float(alpha) overflows
     (lambda: spectrum(-10**400, 10), "alpha must exceed 1"),
+    # a first floor past the horizon once answered without the check
+    (lambda: triple_spectrum_search([2.5, 1, 3], 0), "alpha must exceed 1"),
+    (lambda: triple_spectrum_search([2.5, Fraction(1), 3], 0), "alpha must exceed 1"),
+    (lambda: gems._floors(1, 0), "alpha must exceed 1"),
+    # floor(5 * (sqrt(2) - 1)) = 2 is at least 1, but not at least 5
+    (lambda: gems._floors(QuadSurd(-1, 1, 2), 10, 5), "alpha must exceed 1"),
 ], ids=["deck", "pair-alpha-1", "pair-surd-below-1", "spectrum-horizon-0",
         "pair-horizon-0", "triple-two-generators", "wythoff-0", "spectrum-inf",
         "pair-inf", "triple-inf", "spectrum-horizon-10^19", "spectrum-horizon-2^63-1",
-        "spectrum--10^400"])
+        "spectrum--10^400", "triple-1-horizon-0", "triple-1/1-horizon-0", "floors-1-horizon-0",
+        "floors-surd-below-1-from-5"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

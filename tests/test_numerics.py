@@ -205,13 +205,13 @@ class TestTailStop:
 
     @staticmethod
     def _count_proofs(monkeypatch):
-        """Patch _settled_sum to count its calls."""
+        """Patch _settled_sum to record what each call returns."""
         calls = []
         settled = numerics._settled_sum
 
         def spy(terms, rest):
-            calls.append(len(terms))
-            return settled(terms, rest)
+            calls.append(settled(terms, rest))
+            return calls[-1]
 
         monkeypatch.setattr(numerics, "_settled_sum", spy)
         return calls
@@ -229,6 +229,21 @@ class TestTailStop:
         query = (1000, 330, 0.3)
         assert binom_tail_exact(*query) == tail_full_sweep(*query)
         assert len(calls) >= 1
+
+    def test_sum_below_the_floor_refuses_every_proof(self, monkeypatch):
+        # about 4.04e-277, below 2**-900: each proof is refused, and the
+        # sweep runs on to the underflow.  Without the floor the first
+        # proof would hold; at 1.50e-285, (100000, 55700), none would
+        calls = self._count_proofs(monkeypatch)
+        query = (20000, 12500, 0.5)
+        assert binom_tail_exact(*query) == tail_full_sweep(*query)
+        assert calls == [None, None]
+
+    @pytest.mark.parametrize("ratio", [1.0, 1 - 2.0**-52, 2.0, math.nan])
+    def test_rest_unbounded_unless_the_ratio_falls(self, ratio):
+        # 1 - 2**-52 is below 1, but not once widened by its roundings
+        assert numerics._rest_bound(1e-3, ratio) == math.inf
+        assert numerics._rest_bound(1e-3, 0.5) < 1.1e-3
 
     @pytest.mark.parametrize("query", [
         (10**7, 3005000, 0.3),

@@ -225,6 +225,20 @@ class TestRootEquation:
             want = (-1) ** deg * game.q / game.p
             assert prod == pytest.approx(want, abs=1e-9)
 
+    def test_perturbed_root_refused(self, monkeypatch):
+        roots, moved = np.roots, []
+
+        def perturbed(coeffs):
+            found = roots(coeffs)
+            found[0] += 1e-3
+            moved.append(complex(found[0]))
+            return found
+
+        monkeypatch.setattr(np, "roots", perturbed)
+        with pytest.raises(ArithmeticError) as refused:
+            ruin_root_equation(RuinGame(5, 5, 3, 2, 0.4))
+        assert str(refused.value).startswith(f"root {moved[0]} has backward error")
+
     def test_high_degree_roots_to_small_backward_error(self):
         # np.roots reaches a backward error of 1.2e-13 on all four
         for alpha, beta, p in ((20, 1, 0.4), (14, 1, 0.3248), (66, 4, 0.33143), (72, 1, 0.47766)):
