@@ -11,7 +11,9 @@ argument specs, its provenance and a handler.  The handler takes the
 parsed arguments and returns (inputs, result); build_parser builds every
 parser from the table and main wraps what the handler returns in the
 envelope.  The parser is built on the first main call and shared by
-every later call in the process.
+every later call in the process.  An argv that begins with a command
+path is parsed by that row's leaf parser alone (_parse); JSON is written
+by _json, json.dumps(indent=2)'s bytes with one join per container.
 
 Warnings have one channel, Python's warnings module: a handler issues
 its own notes with warnings.warn, as the library and numpy do, and main
@@ -19,14 +21,14 @@ records every one in the envelope's warnings, success or error, in the
 order they were emitted.
 
 Exit codes: 0 success, 1 domain/numeric error, unreadable input file or
-refused memory allocation (structured error envelope on stdout) or a
+refused memory allocation (structured error envelope on stdout), a
 failed self-check (`runs --method all` methods that disagree: the
-envelope keeps its result and names the gap in warnings), 2 usage error
-(argparse diagnostic on stderr).  stderr carries nothing but argparse's
-usage diagnostics.  JSON has no form for inf or nan, so every envelope,
-success or error, echoes a non-finite input as its repr string ("inf",
-"nan"), and render refuses a non-finite result with NonFiniteResultError
-(exit 1), in every format.
+envelope keeps its result and names the gap in warnings) or a stdout
+closed early (`| head -1`), 2 usage error (argparse diagnostic on
+stderr).  stderr carries nothing but argparse's usage diagnostics.  JSON
+has no form for inf or nan, so every envelope, success or error, echoes
+a non-finite input as its repr string ("inf", "nan"), and render refuses
+a non-finite result with NonFiniteResultError (exit 1), in every format.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import binom_tail, concentration, gems, lexis, lln_bounds, numerics, ruin, runs
 
@@ -99,12 +102,41 @@ def read_matrix_csv(path: str):
 
 
 def _leaf(value):
-    """A Fraction as "a/b" text and a complex as {"re", "im"}; json.dumps's default."""
+    """A Fraction as "a/b" text and a complex as {"re", "im"}; _json's default."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     raise TypeError(f"{type(value).__name__} has no envelope form")
+
+
+def _json(value, indent="\n") -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False, default=_leaf)
+    writes it (str keys), where an indent selects a pure-Python encoder with
+    a generator per container; indent is the newline and indent of its depth."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        # a dealt deck is a million ints: each is written without a call
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    return _json(_leaf(value), indent)
 
 
 def _flatten(prefix, value, out):
@@ -144,8 +176,8 @@ def render(envelope: dict, fmt: str) -> str:
     rows: list = []
     if fmt == "json":
         try:
-            return json.dumps(envelope, indent=2, allow_nan=False, default=_leaf)
-        except ValueError:  # allow_nan=False met an inf or nan
+            return _json(envelope)
+        except ValueError:  # an inf or nan, or an int past str's digit limit
             _flatten("", envelope, rows)
             _refuse_non_finite(rows)
             raise
@@ -337,7 +369,10 @@ def _bernstein_check(args):
         sigma_sq = [s * s] * args.count
         moment_fn = lambda j, k: s**k
         c = args.c if args.c is not None else s
-    report = concentration.moment_condition_check(sigma_sq, c, moment_fn, k_max=args.kmax)
+    try:
+        report = concentration.moment_condition_check(sigma_sq, c, moment_fn, k_max=args.kmax)
+    except RuntimeError as exc:  # the check wraps the OverflowError of a float power
+        raise OverflowError(f"{exc}: the moment overflows a float") from exc
     return (
         {"family": args.family, "count": args.count, "c": c, "kmax": args.kmax},
         {"holds": report.holds, "failures": report.failures},
@@ -544,6 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, help="Monte Carlo seed")
     top.add_argument("--tol", type=float, dest="global_tol",
                      help="tolerance for subcommands that take one")
+    defaults = {dest: top.get_default(dest) for dest in ("format", "seed", "global_tol")}
+    top.leaves = {}  # path -> (leaf parser, the namespace the full parser starts it with)
     hidden = {"default": argparse.SUPPRESS, "help": argparse.SUPPRESS}
     subparsers = {(): top.add_subparsers(dest="cmd", required=True)}
     for path, (help_, specs, _, _) in COMMANDS.items():
@@ -563,11 +600,30 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.add_argument("--seed", type=int, **hidden)
         if all(flag != "--tol" for flag, _ in specs):
             leaf.add_argument("--tol", type=float, dest="global_tol", **hidden)
+        top.leaves[path] = (leaf, {**defaults, **dict(zip(("cmd", "sub"), path))})
     return top
 
 
+def _parse(argv):
+    """build_parser().parse_args(argv), keys in order, from the leaf parser
+    alone when argv begins with a command path; the full parser reports
+    what the leaf leaves unrecognized, and parses every other argv."""
+    top = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The full parser first reads every argument against its own options,
+    # and there "--=..." is an ambiguous abbreviation of all of them.
+    if not any(arg.startswith("--=") for arg in argv):
+        for path in (tuple(argv[:1]), tuple(argv[:2])):
+            if path in top.leaves:
+                leaf, head = top.leaves[path]
+                args, unrecognized = leaf.parse_known_args(argv[len(path):])
+                if not unrecognized:
+                    return argparse.Namespace(**{**head, **vars(args)})
+    return top.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     path = (args.cmd, args.sub) if hasattr(args, "sub") else (args.cmd,)
     _, _, provenance, handler = COMMANDS[path]
     envelope = {"command": " ".join(path)}
@@ -595,7 +651,13 @@ def main(argv=None) -> int:
                             warnings=[str(w.message) for w in caught],
                             error={"type": type(exc).__name__, "message": str(exc)})
             text, code = render(envelope, args.format), 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head -1` does
+        # the Python docs' note on SIGPIPE: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

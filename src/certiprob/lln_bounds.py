@@ -35,10 +35,10 @@ class LlnQuery:
 
     def __post_init__(self):
         given = (self.p, self.eps, self.eta)
-        exact = tuple(map(_as_fraction, given))
-        for name, v, x in zip(("p", "eps", "eta"), given, exact):
-            if not (0 < x < 1):
+        for name, v in zip(("p", "eps", "eta"), given):
+            if not (0 < v < 1):  # false for nan; tested before inf meets Fraction
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {v!r}")
+        exact = tuple(map(_as_fraction, given))
         if exact[0] + exact[1] > 1:
             raise ValueError(
                 f"p + eps must not exceed 1 for the upper-tail event to be "

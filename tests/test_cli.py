@@ -3,7 +3,9 @@
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import certiprob
 from certiprob import cli, lln_bounds
@@ -240,6 +244,17 @@ class TestSubcommands:
         assert code == 0
         assert env["result"]["alpha"] == lln_alpha_mpmath(Fraction(1, 2), parse_prob(eps), Fraction(1, 10))
 
+    @pytest.mark.parametrize("flag, value", [("--p", "nan"), ("--eps", "inf"), ("--eta", "-inf")])
+    def test_lln_bernoulli_non_finite_input(self, capsys, flag, value):
+        # the range is tested on the given value: inf met Fraction first, an
+        # OverflowError "cannot convert Infinity to integer ratio"
+        argv = {"--p": "0.3", "--eps": "0.1", "--eta": "0.1", flag: value}
+        code, out = run_cli(capsys, "lln", "bernoulli", *[f"{k}={v}" for k, v in argv.items()])
+        assert code == 1
+        assert json.loads(out, parse_constant=no_constant)["error"] == {
+            "type": "ValueError",
+            "message": f"{flag[2:]} must lie strictly in (0, 1), got {value}"}
+
     def test_lln_cantelli(self, capsys):
         _, env = run_json(capsys, "lln", "cantelli", "--eps", "0.1", "--eta", "0.1")
         assert env["result"]["n"] == 1661
@@ -331,6 +346,17 @@ class TestSubcommands:
             "--half-width", "1", "--count", "3",
         )
         assert env["result"]["holds"] is True
+
+    @pytest.mark.parametrize("argv", [["--half-width", "1e308"],
+                                      ["--family", "two-point", "--scale", "1e200"]])
+    def test_bernstein_check_overflowing_moment(self, capsys, argv):
+        # the third moment overflows a float: once a RuntimeError traceback
+        code, env = run_json(capsys, "bernstein", "check", *argv)
+        assert code == 1
+        assert env["result"] is None
+        assert env["error"] == {
+            "type": "OverflowError",
+            "message": "moment evaluator failed at variable 0, order 3: the moment overflows a float"}
 
     def test_bernstein_mc_requires_seed(self, capsys):
         code, env = run_json(capsys, "bernstein", "mc", "--n", "10", "--t", "4")
@@ -633,6 +659,72 @@ class TestParserReuse:
         assert pages[40] != pages[120]
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+ROW_ARGV = [
+    [*path, *itertools.chain.from_iterable(
+        [flag, {int: "3", float: "0.5", parse_prob: "1/3"}.get(kwargs.get("type"), "phi")]
+        for flag, kwargs in specs if kwargs.get("required")), "--seed", "7"]
+    for path, (_, specs, _, _) in cli.COMMANDS.items()
+]
+
+
+class TestDirectDispatch:
+    """main parses with the command's own leaf parser; argparse's full parse
+    stays the reference for the namespace and for every diagnostic."""
+
+    @staticmethod
+    def parsed(parse, argv, capsys):
+        try:
+            return list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            return exc.code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN["cases"]] + ROW_ARGV + [
+        ["tail", "--=x", "--n", "5"],  # ambiguous among the top-level options first
+        ["tail", "--n", "5", "--l", "3", "--p", "0.5", "--bogus"],
+        ["ruin", "exact", "--alpha", "1", "--beta", "1", "--p", "0.5", "--", "x"],
+        ["lln", "--help"],
+        ["beatty"],
+    ], ids=" ".join)
+    def test_same_namespace_and_diagnostics(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
+        assert self.parsed(cli._parse, argv, capsys) == self.parsed(
+            cli.build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", ROW_ARGV, ids=" ".join)
+    def test_command_path_skips_the_full_parser(self, monkeypatch, argv):
+        top = cli.build_parser()
+        monkeypatch.setattr(top, "parse_args", None)
+        assert vars(cli._parse(argv))["cmd"] == argv[0]
+
+
+_LEAVES = st.one_of(
+    st.text(), st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f", "é€😀"]),
+    st.booleans(), st.none(), st.integers(), st.integers(-2**300, 2**300),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]),
+    st.fractions(), st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_TREES)
+    def test_bytes_of_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False, default=cli._leaf)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+    def test_non_finite_refused(self, bad):
+        envelope = {"command": "x", "result": {"values": [1, (2.0, bad)]}}
+        for fmt in cli.FORMATS:
+            with pytest.raises(cli.NonFiniteResultError, match="result.values"):
+                cli.render(envelope, fmt)
+
+
 class TestFloatRefusal:
     def test_runs_cancellation_is_error_envelope(self, capsys):
         code, env = run_json(capsys, "runs", "--n", "2000", "--r", "3", "--p", "0.9")
@@ -743,13 +835,17 @@ class TestEntryPoint:
     """`python -m certiprob.cli` as a real process: exit codes and streams."""
 
     @staticmethod
-    def run_module(*argv):
+    def env():
         src = Path(certiprob.__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        return env
+
+    @staticmethod
+    def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", "certiprob.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=TestEntryPoint.env(), timeout=120,
         )
 
     def test_success_error_and_usage_exit_codes(self):
@@ -765,3 +861,23 @@ class TestEntryPoint:
         assert usage.returncode == 2
         assert usage.stdout == ""
         assert "invalid choice" in usage.stderr
+
+    def test_closed_stdout_ends_quietly(self):
+        # the envelope is megabytes, far past a pipe's buffer, so writing
+        # it meets the closed pipe: once a BrokenPipeError traceback
+        argv = ["beatty", "wythoff", "--count", "100000"]
+        with subprocess.Popen([sys.executable, "-m", "certiprob.cli", *argv], env=self.env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+            assert proc.stderr.read() == b""
+
+    def test_closed_stdout_goes_to_devnull(self, monkeypatch):
+        # so that the flush at exit meets no broken pipe either
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["shuffle", "order", "--deck", "52"]) == 1
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
