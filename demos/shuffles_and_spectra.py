@@ -2,11 +2,10 @@
 # two irrational numbers can tile the integers between them.
 
 from certiprob import (
-    Deck,
     QuadSurd,
     beatty_pair_check,
-    monge_shuffle,
-    perfect_in_shuffle,
+    in_shuffled,
+    monge_shuffled,
     shuffle_order,
     spectrum,
     triple_spectrum_search,
@@ -15,7 +14,7 @@ from certiprob import (
 from certiprob.gems import monge_order
 
 # --- perfect shuffles -----------------------------------------------------
-print("one perfect in-shuffle of 8 cards:", perfect_in_shuffle(Deck.identity(8)).order)
+print("one perfect in-shuffle of 8 cards:", tuple(in_shuffled(8, 1)))
 print("\nshuffles needed to restore a deck (order of 2 mod 2n+1):")
 print("2n:", *[f"{d:>3}" for d in range(2, 27, 2)])
 print("r :", *[f"{shuffle_order(d):>3}" for d in range(2, 27, 2)])
@@ -23,7 +22,7 @@ print("2n:", *[f"{d:>3}" for d in range(28, 53, 2)])
 print("r :", *[f"{shuffle_order(d):>3}" for d in range(28, 53, 2)])
 print(f"\na 52-card deck needs all of {shuffle_order(52)} shuffles;"
       f" the over-under shuffle needs {monge_order(52)}")
-print("over-under on 8 cards:", monge_shuffle(Deck.identity(8)).order)
+print("over-under on 8 cards:", tuple(monge_shuffled(8, 1)))
 
 # --- Beatty spectra ---------------------------------------------------------
 phi = QuadSurd.golden()

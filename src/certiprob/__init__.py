@@ -33,13 +33,12 @@ from .binom_tail import (
 )
 from .concentration import BernsteinInput, bernstein_bound, moment_condition_check
 from .gems import (
-    Deck,
     QuadSurd,
     beatty_pair_check,
-    monge_shuffle,
+    in_shuffled,
+    monge_shuffled,
     partition_exact,
     partition_uspensky,
-    perfect_in_shuffle,
     shuffle_order,
     spectrum,
     triple_spectrum_search,

@@ -27,10 +27,9 @@ bracket_tail runs it in floats, with coefficients built from the exact
 ratio p/q rounded once, and pushes its endpoints out by a margin derived
 from the error bounds of the lead term, the recursion and that rounding
 (see _guard), still testing its stop after each convergent.
-convergent_stream flattens the same walk to one item per convergent;
-with a Fraction p every convergent comes out as an exact rational, which
-is how the test suite verifies the interleaving property and
-cross-checks the float walk.
+_convergents is scalar-generic: given the odds as a Fraction, every
+convergent comes out as an exact rational, which is how the test suite
+verifies the interleaving property and cross-checks the float walk.
 
 As everywhere in the package, p is read once as its integer ratio
 num/den (numerics._p_ratio): TailQuery tests l > np as l*den > n*num, the
@@ -174,26 +173,6 @@ def _convergents(n: int, l: int, k_cap: int, odds):
         raise NumericDegeneracyError(f"a convergent denominator is 0 at depth {k}") from None
 
 
-def _flatten(depths):
-    """(k, "C", C_k), (k, "D", D_k) for each (k, C_k, D_k) of depths."""
-    for k, c, d in depths:
-        yield k, "C", c
-        yield k, "D", d
-
-
-def convergent_stream(query: TailQuery):
-    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
-
-    kind is "C" or "D": the per-depth walk _convergents, flattened to one
-    item per convergent, ending at (k_terminal, "D").  With a Fraction p
-    every value is an exact rational; with any other p these are the
-    float convergents that bracket_tail walks.
-    """
-    num, den = _p_ratio(query.p)
-    odds = Fraction(num, den - num) if isinstance(query.p, Fraction) else num / (den - num)
-    return _flatten(_convergents(query.n, query.l, query.k_terminal, odds))
-
-
 class TailBracket(NamedTuple):
     """Certified enclosure lower <= P(S_n > l) <= upper.
 
@@ -220,8 +199,7 @@ def bracket_tail(
     even-indexed one (lower side) and the smallest odd-indexed one (upper
     side); the bracket is the pair scaled by the lead term, with endpoints
     pushed outward by the derived rounding margin _guard.  For a float p
-    the convergents are those convergent_stream yields; for a Fraction p
-    the walk still runs in floats, on p/q rounded once.
+    or a Fraction p alike the walk runs in floats, on p/q rounded once.
 
     Iteration stops as soon as the pushed-out endpoints satisfy
     upper - lower <= tol * upper (checked after every new convergent, so a
@@ -417,7 +395,6 @@ def bahadur_tail(n: int, j: int, p) -> float:
 __all__ = [
     "TailQuery",
     "TailBracket",
-    "convergent_stream",
     "bracket_tail",
     "left_tail_bracket",
     "bahadur_tail",

@@ -40,6 +40,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -555,6 +556,20 @@ GROUP_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    r"""An ArgumentParser that reads any negative number as a value.
+
+    argparse's own pattern, ^-\d+$|^-\d*\.\d+$, takes -1e3 and -inf for
+    flags ("--t -1e3": expected one argument); no flag here starts with a
+    digit, inf or nan.  add_subparsers makes every group and leaf parser
+    of the top parser's class, so the full parse and a leaf's agree.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$|infinity$|nan$)", re.I)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with one leaf parser per COMMANDS row.
@@ -570,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     top-level value in place.  A leaf that owns a --tol (the bracket and
     chain tolerances) keeps it; the global --tol then only exists up front.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="certiprob",
         description="classical probability with certified brackets and oracles",
     )

@@ -59,54 +59,6 @@ def _check_deck(two_n: int, times: int = 0) -> None:
         raise ValueError(f"times must be non-negative, got {times}")
 
 
-@dataclass(frozen=True)
-class Deck:
-    """A deck of even size; order lists card labels top-down."""
-
-    order: tuple
-
-    def __post_init__(self):
-        order = tuple(self.order)
-        object.__setattr__(self, "order", order)
-        size = len(order)
-        _check_deck(size)
-        if sorted(order) != list(range(1, size + 1)):
-            raise ValueError("order must be a permutation of 1..2n")
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-    @classmethod
-    def identity(cls, size: int) -> "Deck":
-        return cls(tuple(range(1, size + 1)))
-
-
-def perfect_in_shuffle(deck: Deck) -> Deck:
-    """Cut in half and interleave, bottom half's first card on top.
-
-    The card at position i lands at position 2i mod (2n+1); eight cards
-    starting in order end up as (5,1,6,2,7,3,8,4).
-    """
-    order = deck.order
-    n = deck.size // 2
-    new = [0] * deck.size
-    new[0::2] = order[n:]
-    new[1::2] = order[:n]
-    return Deck(tuple(new))
-
-
-def monge_shuffle(deck: Deck) -> Deck:
-    """Over-under shuffle: deal cards alternately onto top and bottom.
-
-    Convention: first card starts the pile, second goes on top, third
-    underneath, and so on.  The pile is the even-numbered cards in reverse
-    over the odd-numbered ones in order.
-    """
-    order = deck.order
-    return Deck(order[1::2][::-1] + order[0::2])
-
-
 # Sorenson & Webster (2017): no composite below this bound is a strong
 # probable prime to all of the first 13 prime bases
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -268,9 +220,11 @@ def monge_order(two_n: int) -> int:
 def in_shuffled(two_n: int, times: int) -> list:
     """The identity deck of 2n cards after `times` perfect in-shuffles.
 
-    Card i moves to position 2i mod 2n+1, so position j holds card
-    j * 2^(-times) mod 2n+1: one pow and one pass, whatever `times` is.
-    perfect_in_shuffle deals the same arrangement one shuffle at a time.
+    An in-shuffle cuts the deck in half and interleaves it, the bottom
+    half's first card on top: eight cards in order end as
+    (5, 1, 6, 2, 7, 3, 8, 4).  Card i moves to position 2i mod 2n+1, so
+    position j holds card j * 2^(-times) mod 2n+1: one pow and one pass,
+    whatever `times` is; no deck is dealt.
     """
     _check_deck(two_n, times)
     step = pow(2, -times, two_n + 1)
@@ -280,9 +234,12 @@ def in_shuffled(two_n: int, times: int) -> list:
 def monge_shuffled(two_n: int, times: int) -> list:
     """The identity deck of 2n cards after `times` over-under shuffles.
 
-    In monge_order's labels the position labelled y = j + 2n holds the
-    card labelled +-y * 2^times mod 4n+1, the one of the pair in 2n+1..4n
-    (the two sum to 4n+1): card label - 2n.  monge_shuffle deals the same.
+    An over-under shuffle deals the cards alternately onto the top and
+    the bottom of a pile: the first card starts it, the second goes on
+    top, the third underneath, and so on, so eight cards in order end as
+    (8, 6, 4, 2, 1, 3, 5, 7).  In monge_order's labels the position
+    labelled y = j + 2n holds the card labelled +-y * 2^times mod 4n+1,
+    the one of the pair in 2n+1..4n (the two sum to 4n+1): card label - 2n.
     """
     _check_deck(two_n, times)
     m = 2 * two_n + 1
@@ -686,9 +643,6 @@ def partition_uspensky(n: int):
 
 
 __all__ = [
-    "Deck",
-    "perfect_in_shuffle",
-    "monge_shuffle",
     "shuffle_order",
     "monge_order",
     "in_shuffled",

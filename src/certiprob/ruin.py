@@ -164,11 +164,18 @@ def ruin_root_equation(game: RuinGame):
     certified to a backward error |f(z)| / (p|z|^d + |z|^alpha + q) of at
     most 128 (d + 1) 2**-53, d = alpha + beta, or ArithmeticError is raised.
     For |z| > 1 that ratio is formed at 1/z, so roots far outside the unit
-    circle do not overflow it.
+    circle do not overflow it.  A p so small that the companion matrix's
+    entry (1 - p)/p overflows (any p below about 5.6e-309) is refused with
+    ArithmeticError before the eigenvalues are sought.
     """
     import numpy as np
 
     alpha, beta, p, q = game.alpha, game.beta, float(game.p), float(game.q)
+    if (1.0 - p) / p == math.inf:
+        raise ArithmeticError(
+            f"p is too small for the root solve: the companion matrix entry "
+            f"(1 - p)/p overflows a float (alpha={alpha}, beta={beta}, p={p})"
+        )
     deg = alpha + beta
     coeffs = np.zeros(deg + 1)
     coeffs[0] = p  # z^(alpha+beta)

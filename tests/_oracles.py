@@ -13,7 +13,11 @@ and sums every row, and the Beatty window counts by bincount.  Three are
 second forms of a package result that only the tests call: the no-run
 generating function's coefficients by long division, the three-term
 form of E(Q), and a survey of full-cycle shuffle orders (which calls
-shuffle_order).
+shuffle_order).  Two are second implementations the package no longer
+carries: a perfect in-shuffle and an over-under shuffle dealt once by
+hand, the reference for in_shuffled and monge_shuffled, and the
+convergent stream, the package's own _convergents flattened to one item
+per convergent, in exact rationals for a Fraction p.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import mpmath
 import numpy as np
 
 from certiprob.binom_tail import (
-    _RECURSION_ULPS, _TINY, _U, TailBracket, _convergents, _flatten, _guard, _lead_ulps,
-    convergent_stream,
+    _RECURSION_ULPS, _TINY, _U, TailBracket, _convergents, _guard, _lead_ulps,
 )
 from certiprob.gems import _certified_prime, shuffle_order
 from certiprob.lexis import TrialMatrix
@@ -67,15 +70,34 @@ def tail_full_sweep(n: int, l: int, p) -> float:
     return min(math.fsum(_pmf_terms(n, l + 1, n, p)), 1.0)
 
 
+def _one_per_convergent(depths):
+    """(k, "C", C_k), (k, "D", D_k) for each (k, C_k, D_k) of depths."""
+    for k, c, d in depths:
+        yield k, "C", c
+        yield k, "D", d
+
+
+def convergent_stream(query):
+    """Yield (k, kind, value) for C_1, D_1, C_2, D_2, ... up to termination.
+
+    kind is "C" or "D": the package's per-depth walk _convergents,
+    flattened to one item per convergent, ending at (k_terminal, "D").
+    With a Fraction p every value is an exact rational; with any other p
+    these are the float convergents that bracket_tail walks.
+    """
+    num, den = _p_ratio(query.p)
+    odds = Fraction(num, den - num) if isinstance(query.p, Fraction) else num / (den - num)
+    return _one_per_convergent(_convergents(query.n, query.l, query.k_terminal, odds))
+
+
 def bracket_tail_halfsteps(query, tol: float = 1e-8, k_max=None):
     """bracket_tail one convergent at a time: (bracket, kind of the last
     convergent walked).
 
     The loop bracket_tail ran before it took a depth per step: the guard
     formed at every C_k, and both endpoints and both stopping tests
-    recomputed after every convergent.  A float p walks convergent_stream
-    itself; a Fraction p walks the same float recursion on p/q rounded
-    once, which convergent_stream only gives in exact rationals.
+    recomputed after every convergent.  Any p walks the float recursion
+    on p/q rounded once: for a float p that is convergent_stream itself.
     """
     n, l, k_term = query.n, query.l, query.k_terminal
     k_cap = k_term if k_max is None else min(k_max, k_term)
@@ -89,10 +111,7 @@ def bracket_tail_halfsteps(query, tol: float = 1e-8, k_max=None):
     hopeless = (tol + 8 * _U) / (2.0 - tol) if k_max is None and tol < 1.0 else math.inf
     floor = _RECURSION_ULPS * _U
 
-    if isinstance(query.p, Fraction):
-        stream = _flatten(_convergents(n, l, k_term, odds))
-    else:
-        stream = convergent_stream(query)
+    stream = _one_per_convergent(_convergents(n, l, k_term, odds))
     best_lo, best_hi = 0.0, math.inf
     g = _guard(lead_ulps, 0, kappa)
     up_f, lo_f = 1.0 + g, 1.0 - g
@@ -435,6 +454,19 @@ def mc_abs_sum_tail_blocks(n: int, t: float, seed: int, samples: int,
 
 # --------------------------------------------------------------------------
 # shuffles
+
+
+def perfect_in_shuffle(order: tuple) -> tuple:
+    """One perfect in-shuffle dealt by hand: cut in half and interleave,
+    the bottom half's first card on top."""
+    n = len(order) // 2
+    return tuple(card for pair in zip(order[n:], order[:n]) for card in pair)
+
+
+def monge_shuffle(order: tuple) -> tuple:
+    """One over-under shuffle dealt by hand: the even-numbered cards in
+    reverse over the odd-numbered ones in order."""
+    return order[1::2][::-1] + order[0::2]
 
 
 def full_cycle_shuffle_stats(max_deck: int):

@@ -13,7 +13,6 @@ from certiprob.binom_tail import (
     NumericDegeneracyError,
     TailBracket,
     TailQuery,
-    convergent_stream,
     bahadur_tail,
     bracket_tail,
     left_tail_bracket,
@@ -21,7 +20,8 @@ from certiprob.binom_tail import (
 from certiprob.numerics import LOG_PMF_ERROR_ULPS, binom_tail_exact, log_binom_pmf
 
 from _oracles import (
-    bracket_tail_halfsteps, lead_term_fraction, tail_fraction_oracle, tail_interval_mpmath,
+    bracket_tail_halfsteps, convergent_stream, lead_term_fraction, tail_fraction_oracle,
+    tail_interval_mpmath,
 )
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,7 +23,7 @@ from certiprob import cli, lln_bounds
 from certiprob.cli import main, parse_alpha, parse_prob
 from certiprob.gems import QuadSurd
 
-from _oracles import lln_alpha_mpmath
+from _oracles import lln_alpha_mpmath, monge_shuffle, perfect_in_shuffle
 
 
 def run_cli(capsys, *argv):
@@ -139,38 +140,40 @@ class TestSubcommands:
         _, env = run_json(capsys, "shuffle", "perfect", "--deck", "8")
         assert env["result"]["arrangement"] == [5, 1, 6, 2, 7, 3, 8, 4]
 
-    @pytest.mark.parametrize("kind, shuffle", [
-        ("perfect", "perfect_in_shuffle"), ("monge", "monge_shuffle")])
-    def test_shuffle_count_reduced_modulo_the_order(self, capsys, monkeypatch, kind, shuffle):
+    @pytest.mark.parametrize("kind, deal", [
+        ("perfect", perfect_in_shuffle), ("monge", monge_shuffle)],
+        ids=["perfect-perfect_in_shuffle", "monge-monge_shuffle"])
+    def test_shuffle_count_reduced_modulo_the_order(self, capsys, kind, deal):
         # 16 cards recycle after 8 in-shuffles and after 5 over-under
-        # shuffles, both divisors of 10^12
+        # shuffles, both divisors of 10^12, so the arrangement is that of 3 deals
         _, want = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", "3")
-        calls = []
-        monkeypatch.setattr(cli.gems, shuffle, calls.append)
         code, env = run_json(capsys, "shuffle", kind, "--deck", "16", "--times", str(10**12 + 3))
         assert code == 0
         assert env["inputs"]["times"] == 10**12 + 3
         assert env["result"] == want["result"]
-        assert calls == []
+        deck = tuple(range(1, 17))
+        for _ in range(3):
+            deck = deal(deck)
+        assert env["result"]["arrangement"] == list(deck)
 
-    @pytest.mark.parametrize("kind, refused", [
-        ("perfect", ("Deck", "perfect_in_shuffle", "monge_shuffle", "shuffle_order")),
-        ("monge", ("Deck", "perfect_in_shuffle", "monge_shuffle"))], ids=["perfect", "monge"])
-    def test_shuffle_read_off_a_modular_power(self, capsys, monkeypatch, kind, refused):
-        # the arrangement the library deals, with no deck built or dealt
-        dealt = {"perfect": cli.gems.perfect_in_shuffle, "monge": cli.gems.monge_shuffle}[kind]
-        deck = cli.gems.Deck.identity(20)
+    @pytest.mark.parametrize("kind, deal, refused", [
+        ("perfect", perfect_in_shuffle, ("shuffle_order",)),
+        ("monge", monge_shuffle, ())], ids=["perfect", "monge"])
+    def test_shuffle_read_off_a_modular_power(self, capsys, monkeypatch, kind, deal, refused):
+        # the arrangement 7 deals give, with no deck dealt and, for the
+        # in-shuffle, no order factorized
+        deck = tuple(range(1, 21))
         for _ in range(7):
-            deck = dealt(deck)
+            deck = deal(deck)
 
         def refuse(*args):
-            raise AssertionError("a deck was built, dealt or its order factorized")
+            raise AssertionError("the order was factorized")
 
         for name in refused:
             monkeypatch.setattr(cli.gems, name, refuse)
         code, env = run_json(capsys, "shuffle", kind, "--deck", "20", "--times", "7")
         assert code == 0
-        assert env["result"]["arrangement"] == list(deck.order)
+        assert env["result"]["arrangement"] == list(deck)
         if kind == "monge":
             assert env["result"]["order"] == 10
 
@@ -188,11 +191,10 @@ class TestSubcommands:
     @pytest.mark.parametrize("kind", ["perfect", "monge"])
     @pytest.mark.parametrize("deck", [cli.MAX_DECK + 2, 2 * 10**15])
     def test_oversized_deck_refused_before_it_is_built(self, capsys, monkeypatch, kind, deck):
-        # Deck.identity(2 * 10**15) died with a MemoryError traceback
+        # building a deck of 2 * 10**15 cards died with a MemoryError traceback
         def no_deck(size, *times):
             raise AssertionError(f"a deck of {size} cards was built")
 
-        monkeypatch.setattr(cli.gems.Deck, "identity", no_deck)
         monkeypatch.setattr(cli.gems, "in_shuffled", no_deck)
         monkeypatch.setattr(cli.gems, "monge_shuffled", no_deck)
         code, env = run_json(capsys, "shuffle", kind, "--deck", str(deck))
@@ -332,6 +334,16 @@ class TestSubcommands:
         )
         assert code == 0
         assert len(env["result"]["roots"]) == 201
+
+    @pytest.mark.parametrize("alpha, beta, p", [("1", "1000", "1e-320"), ("3", "2", "5e-324")])
+    def test_ruin_roots_subnormal_p_refused_by_name(self, capsys, alpha, beta, p):
+        # numpy's LinAlgError, with "overflow encountered in divide" as a warning
+        code, env = run_json(capsys, "ruin", "roots", "--alpha", alpha, "--beta", beta, "--p", p)
+        assert code == 1
+        assert env["warnings"] == []
+        assert env["error"] == {"type": "ArithmeticError", "message": (
+            "p is too small for the root solve: the companion matrix entry (1 - p)/p "
+            f"overflows a float (alpha={alpha}, beta={beta}, p={p})")}
 
     def test_bernstein_bound(self, capsys):
         _, env = run_json(
@@ -685,6 +697,12 @@ class TestDirectDispatch:
         ["ruin", "exact", "--alpha", "1", "--beta", "1", "--p", "0.5", "--", "x"],
         ["lln", "--help"],
         ["beatty"],
+        # a negative number in exponent or non-finite form is a value; -x is not
+        ["bernstein", "bound", "--b2", "1", "--t", "-1e3"],
+        ["lln", "bernoulli", "--p", "0.3", "--eps", "0.1", "--eta", "-inf"],
+        ["bernstein", "bound", "--b2", "1", "--t", "-1000"],
+        ["bernstein", "bound", "--b2", "1", "--t", "-x"],
+        ["--tol", "-Inf", "tail", "--n", "10", "--l", "7", "--p", "0.5"],
     ], ids=" ".join)
     def test_same_namespace_and_diagnostics(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", str(GOLDEN["columns"]))
@@ -740,6 +758,20 @@ class TestFloatRefusal:
         result = env["result"]
         assert set(result) == {"recursive", "beta", "demoivre", "oracle"}
         assert abs(result["beta"] - result["recursive"]) <= 1e-10
+
+    @pytest.mark.parametrize("argv", [
+        "bernstein bound --b2 1 --t -1e3",
+        "lln bernoulli --p 0.3 --eps 0.1 --eta -inf",
+        "tail --n 10 --l 7 --p -Infinity",
+        "--tol -inf tail --n 10 --l 7 --p 0.5",  # the full parser's own option
+    ])
+    def test_negative_exponent_or_non_finite_value_reaches_the_handler(self, capsys, argv):
+        # argparse took -1e3 and -inf for flags: "expected one argument", exit 2
+        spaced = run_json(capsys, *argv.split())
+        assert spaced == run_json(capsys, *re.sub(r" -(?!-)", "=-", argv).split())
+        code, env = spaced
+        assert code == 1
+        assert env["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
     def test_non_finite_p_is_range_error(self, capsys, p):

@@ -15,16 +15,13 @@ from hypothesis import strategies as st
 
 from certiprob import gems
 from certiprob.gems import (
-    Deck,
     QuadSurd,
     beatty_pair_check,
     in_shuffled,
     monge_order,
-    monge_shuffle,
     monge_shuffled,
     partition_exact,
     partition_uspensky,
-    perfect_in_shuffle,
     shuffle_order,
     spectrum,
     triple_spectrum_search,
@@ -35,7 +32,9 @@ from _oracles import (
     beatty_hits_bincount,
     floor_mult_reference,
     full_cycle_shuffle_stats,
+    monge_shuffle,
     partition_table_dp,
+    perfect_in_shuffle,
     wythoff_cold_retrograde,
 )
 
@@ -126,8 +125,12 @@ def cycle_walk_order(arrangement):
     return order
 
 
+def identity(size):
+    return tuple(range(1, size + 1))
+
+
 def iterate_until_identity(shuffle, size, cap=10**6):
-    deck = start = Deck.identity(size)
+    deck = start = identity(size)
     for count in range(1, cap + 1):
         deck = shuffle(deck)
         if deck == start:
@@ -137,16 +140,16 @@ def iterate_until_identity(shuffle, size, cap=10**6):
 
 class TestPerfectShuffle:
     def test_eight_card_diagram(self):
-        assert perfect_in_shuffle(Deck.identity(8)).order == (5, 1, 6, 2, 7, 3, 8, 4)
+        assert perfect_in_shuffle(identity(8)) == (5, 1, 6, 2, 7, 3, 8, 4)
 
     def test_card_at_i_lands_at_2i_mod_2n_plus_1(self):
         for two_n in range(2, 201, 2):
-            order = perfect_in_shuffle(Deck.identity(two_n)).order
+            order = perfect_in_shuffle(identity(two_n))
             assert all(order[2 * i % (two_n + 1) - 1] == i for i in range(1, two_n + 1))
 
     def test_two_cards_recycle_in_two(self):
-        deck = perfect_in_shuffle(perfect_in_shuffle(Deck.identity(2)))
-        assert deck == Deck.identity(2)
+        deck = perfect_in_shuffle(perfect_in_shuffle(identity(2)))
+        assert deck == identity(2)
 
     def test_table_26_entries(self):
         for two_n, r in SHUFFLE_TABLE.items():
@@ -161,12 +164,12 @@ class TestPerfectShuffle:
     def test_order_is_minimal_up_to_200(self):
         for two_n in range(2, 201, 2):
             r = shuffle_order(two_n)
-            deck = Deck.identity(two_n)
+            deck = identity(two_n)
             for step in range(1, r + 1):
                 deck = perfect_in_shuffle(deck)
                 if step < r:
-                    assert deck != Deck.identity(two_n)
-            assert deck == Deck.identity(two_n)
+                    assert deck != identity(two_n)
+            assert deck == identity(two_n)
 
     def test_prime_modulus_divides_group_order(self):
         for two_n in range(2, 1001, 2):
@@ -176,7 +179,7 @@ class TestPerfectShuffle:
 
     def test_odd_deck_rejected(self):
         # one message from every entry point; the deck is checked before the count
-        entries = [Deck.identity, shuffle_order, monge_order,
+        entries = [shuffle_order, monge_order,
                    lambda two_n: in_shuffled(two_n, -1), lambda two_n: monge_shuffled(two_n, -1)]
         for entry in entries:
             for two_n in (7, 0):
@@ -303,11 +306,11 @@ class TestShuffleOrderLarge:
 
 class TestMongeShuffle:
     def test_two_cards_swap(self):
-        assert monge_shuffle(Deck.identity(2)).order == (2, 1)
+        assert monge_shuffle(identity(2)) == (2, 1)
         assert monge_order(2) == 2
 
     def test_eight_cards(self):
-        assert monge_shuffle(Deck.identity(8)).order == (8, 6, 4, 2, 1, 3, 5, 7)
+        assert monge_shuffle(identity(8)) == (8, 6, 4, 2, 1, 3, 5, 7)
         assert monge_order(8) == iterate_until_identity(monge_shuffle, 8)
 
     def test_order_matches_iteration(self):
@@ -316,7 +319,7 @@ class TestMongeShuffle:
 
     def test_matches_dealing_loop(self):
         for two_n in range(2, 201, 2):
-            assert monge_shuffle(Deck.identity(two_n)).order == deal_over_under(two_n)
+            assert monge_shuffle(identity(two_n)) == deal_over_under(two_n)
 
     def test_order_matches_cycle_walk_of_the_deal(self):
         rng = random.Random(1833)
@@ -332,17 +335,8 @@ class TestMongeShuffle:
         for q in factorize_by_trial_division(k):
             assert pow(2, k // q, m) not in (1, m - 1)
 
-    def test_order_builds_no_deck(self, monkeypatch):
-        # an odd or empty deck is refused with Deck's message, without a Deck
-        for two_n in (7, 0):
-            with pytest.raises(ValueError, match=f"deck size must be even and positive, got {two_n}$"):
-                Deck.identity(two_n)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a deck was built or shuffled")
-
-        monkeypatch.setattr(gems, "Deck", refuse)
-        monkeypatch.setattr(gems, "monge_shuffle", refuse)
+    def test_order_builds_no_deck(self):
+        # 2 * 10**15 cards could not be dealt; an odd or empty deck is refused
         assert monge_order(52) == 12
         assert monge_order(2 * 10**15) == 165703275529858
         for two_n in (7, 0):
@@ -351,13 +345,13 @@ class TestMongeShuffle:
 
     def test_double_monge_fixed_points(self):
         for two_n in (8, 12, 20):
-            twice = monge_shuffle(monge_shuffle(Deck.identity(two_n)))
-            fixed = {c for pos, c in enumerate(twice.order, start=1) if pos == c}
+            twice = monge_shuffle(monge_shuffle(identity(two_n)))
+            fixed = {c for pos, c in enumerate(twice, start=1) if pos == c}
             # brute iteration oracle: cards back home after two deals
-            deck = Deck.identity(two_n)
+            deck = identity(two_n)
             for _ in range(2):
                 deck = monge_shuffle(deck)
-            oracle = {c for pos, c in enumerate(deck.order, start=1) if pos == c}
+            oracle = {c for pos, c in enumerate(deck, start=1) if pos == c}
             assert fixed == oracle
 
 
@@ -373,19 +367,19 @@ class TestDealtShuffles:
     @DEALERS
     def test_every_count_to_twice_the_order(self, closed, deal, order):
         for two_n in range(2, 121, 2):
-            deck = Deck.identity(two_n)
+            deck = identity(two_n)
             for times in range(2 * order(two_n) + 2):
-                assert closed(two_n, times) == list(deck.order), (two_n, times)
+                assert closed(two_n, times) == list(deck), (two_n, times)
                 deck = deal(deck)
 
     @DEALERS
     def test_huge_count_is_its_residue_modulo_the_order(self, closed, deal, order):
         for two_n in (2, 8, 52, 98, 120, 200):
             for k in (0, 1, 3, 17):
-                deck = Deck.identity(two_n)
+                deck = identity(two_n)
                 for _ in range((10**12 + k) % order(two_n)):
                     deck = deal(deck)
-                assert closed(two_n, 10**12 + k) == list(deck.order), (two_n, k)
+                assert closed(two_n, 10**12 + k) == list(deck), (two_n, k)
 
     @DEALERS
     def test_negative_count_refused(self, closed, deal, order):
@@ -396,8 +390,8 @@ class TestDealtShuffles:
     @given(n=st.integers(1, 1000), times=st.integers(0, 10**18))
     def test_one_more_dealt_shuffle_is_the_next_count(self, n, times):
         for closed, deal in ((in_shuffled, perfect_in_shuffle), (monge_shuffled, monge_shuffle)):
-            after = deal(Deck(tuple(closed(2 * n, times))))
-            assert list(after.order) == closed(2 * n, times + 1)
+            after = deal(tuple(closed(2 * n, times)))
+            assert list(after) == closed(2 * n, times + 1)
 
 
 class TestQuadSurd:
@@ -604,7 +598,6 @@ def test_triple_with_a_generator_past_the_float_range(alphas):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Deck((1, 1)), r"order must be a permutation of 1\.\.2n"),
     (lambda: beatty_pair_check(1, 10), "alpha must exceed 1"),
     (lambda: beatty_pair_check(QuadSurd(-1, 1, 2), 10), "alpha must exceed 1"),
     (lambda: spectrum(1.5, 0), "horizon must be positive"),
@@ -626,7 +619,7 @@ def test_triple_with_a_generator_past_the_float_range(alphas):
     (lambda: gems._floors(1, 0), "alpha must exceed 1"),
     # floor(5 * (sqrt(2) - 1)) = 2 is at least 1, but not at least 5
     (lambda: gems._floors(QuadSurd(-1, 1, 2), 10, 5), "alpha must exceed 1"),
-], ids=["deck", "pair-alpha-1", "pair-surd-below-1", "spectrum-horizon-0",
+], ids=["pair-alpha-1", "pair-surd-below-1", "spectrum-horizon-0",
         "pair-horizon-0", "triple-two-generators", "wythoff-0", "spectrum-inf",
         "pair-inf", "triple-inf", "spectrum-horizon-10^19", "spectrum-horizon-2^63-1",
         "spectrum--10^400", "triple-1-horizon-0", "triple-1/1-horizon-0", "floors-1-horizon-0",

@@ -13,12 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certiprob.binom_tail import (
-    TailQuery, _guard, _lead_ulps, bahadur_tail, bracket_tail, convergent_stream,
-    left_tail_bracket,
+    TailQuery, _guard, _lead_ulps, bahadur_tail, bracket_tail, left_tail_bracket,
 )
 from certiprob.numerics import LOG_PMF_ERROR_ULPS, log_binom_pmf
 
-from _oracles import log_pmf_mpmath, tail_interval_mpmath
+from _oracles import convergent_stream, log_pmf_mpmath, tail_interval_mpmath
 
 U = 2.0**-53
 TINY = sys.float_info.min
@@ -110,8 +109,8 @@ def test_left_bracket_encloses_reference(case):
 
 def stream_brackets(q, k_cap):
     """bracket_tail's (lower, upper, unclamped upper, k) after each
-    convergent up to depth k_cap, rebuilt from the public convergent_stream
-    and _guard."""
+    convergent up to depth k_cap, rebuilt from convergent_stream and
+    _guard."""
     lead_log = log_binom_pmf(q.n, q.l + 1, q.p)
     lead = math.exp(lead_log)
     odds = float(Fraction(q.p) / (1 - Fraction(q.p)))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,6 +239,19 @@ class TestRootEquation:
         with pytest.raises(ArithmeticError) as refused:
             ruin_root_equation(RuinGame(5, 5, 3, 2, 0.4))
         assert str(refused.value).startswith(f"root {moved[0]} has backward error")
+
+    @pytest.mark.parametrize("alpha, beta, p", [(1, 1000, 1e-320), (1, 1, 1e-320), (3, 2, 5e-324)])
+    def test_subnormal_p_refused_before_the_solve(self, monkeypatch, alpha, beta, p):
+        # 1/p overflowed in np.roots: LinAlgError, "overflow encountered in divide"
+        def no_solve(coeffs):
+            raise AssertionError("np.roots was called")
+
+        monkeypatch.setattr(np, "roots", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=(
+                    rf"^p is too small for the root solve: .*\(alpha={alpha}, beta={beta}, p={p}\)$")):
+                ruin_root_equation(RuinGame(alpha, beta, alpha, beta, p))
 
     def test_high_degree_roots_to_small_backward_error(self):
         # np.roots reaches a backward error of 1.2e-13 on all four
