@@ -313,6 +313,19 @@ class TestSubcommands:
         assert code == 1
         assert env["error"]["type"] == "UnfairGameError"
 
+    def test_ruin_exact_underflow_named(self, capsys):
+        # about 9**-400, 10**-381.7: the 0.0 must carry its warning in the envelope
+        code, env = run_json(
+            capsys, "ruin", "exact", "--a", "400", "--b", "400",
+            "--alpha", "1", "--beta", "1", "--p", "0.9",
+        )
+        assert code == 0
+        assert env["result"] == {"ruin_probability": 0.0}
+        assert env["warnings"] == [
+            "A's ruin probability underflows the float range in "
+            "RuinGame(a=400, b=400, alpha=1, beta=1, p=0.9): 0.0 stands for a "
+            "positive value below 2.2250738585072014e-308"]
+
     def test_ruin_roots_default_fortunes(self, capsys):
         _, env = run_json(
             capsys, "ruin", "roots", "--alpha", "1", "--beta", "1", "--p", "0.6"

@@ -3,6 +3,7 @@
 import cmath
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -47,6 +48,33 @@ def dense_absorption(game: RuinGame, side: str) -> float:
             elif (target < alpha) == (side == "A"):
                 rhs[i] += prob
     return np.linalg.solve(mat, rhs)[index[a]]
+
+
+def equal_stakes_exact(game: RuinGame, side: str) -> tuple[int, int]:
+    """The closed form of an equal-stakes game, exact for the float p and q the solver uses.
+
+    Stakes s move A's capital in steps of s, so the game is the unit walk
+    with fortunes a // s and b // s and ratio r = q/p.  The value comes as
+    an unreduced pair (numerator, denominator): reducing powers of r to
+    thousands of digits would take a gcd of a second or more.
+    """
+    fa, fb = game.a // game.alpha, game.b // game.alpha
+    q, p = (Fraction(float(game.q)) / Fraction(float(game.p))).as_integer_ratio()
+    if q == p:
+        num, den = fb, fa + fb
+    else:  # (r^fa - r^(fa+fb)) / (1 - r^(fa+fb)), times p^(fa+fb)
+        num, den = q**fa * p**fb - q ** (fa + fb), p ** (fa + fb) - q ** (fa + fb)
+        if den < 0:
+            num, den = -num, -den
+    return (num, den) if side == "A" else (den - num, den)
+
+
+def within(y: float, exact: tuple[int, int], rel: float) -> bool:
+    """|y - exact| <= rel * exact, in integers."""
+    num, den = exact
+    yn, yd = y.as_integer_ratio()
+    rn, rd = rel.as_integer_ratio()
+    return abs(yn * den - num * yd) * rd <= rn * num * yd
 
 
 def fair_p(alpha: int, beta: int) -> float:
@@ -162,9 +190,10 @@ class TestExactChain:
 
     def test_scipy_loads_on_first_solve_only(self):
         # numpy loads on first use too: a whole tail command runs without
-        # either, a Beatty check loads numpy alone, the chain loads scipy
+        # either, a Beatty check loads numpy alone, an equal-stakes chain
+        # needs no scipy, and the first unequal-stakes chain loads it
         code = (
-            "import contextlib, io, sys, certiprob, certiprob.cli\n"
+            "import contextlib, io, sys, certiprob, certiprob.cli, certiprob.ruin\n"
             "assert not {'numpy', 'scipy'} & set(sys.modules), 'loaded on import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = certiprob.cli.main(['tail', '--n', '200', '--l', '80', '--p', '0.3'])\n"
@@ -172,8 +201,13 @@ class TestExactChain:
             "assert not {'numpy', 'scipy'} & set(sys.modules), 'loaded by tail'\n"
             "assert certiprob.beatty_pair_check(certiprob.QuadSurd.golden(), 100).ok\n"
             "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
-            "y = certiprob.ruin_exact_chain(certiprob.RuinGame(5, 5, 1, 1, 0.5))\n"
-            "assert abs(y - 0.5) < 1e-12 and 'scipy' in sys.modules\n"
+            "game = certiprob.RuinGame(5, 5, 1, 1, 0.5)\n"
+            "y = certiprob.ruin_exact_chain(game)\n"
+            "assert abs(y - 0.5) < 1e-12 and 'scipy' not in sys.modules\n"
+            "y = certiprob.ruin.ruin_chain_b_side(game)\n"
+            "assert abs(y - 0.5) < 1e-12 and 'scipy' not in sys.modules\n"
+            "y = certiprob.ruin_exact_chain(certiprob.RuinGame(6, 4, 2, 3, 0.55))\n"
+            "assert 0 < y < 1 and 'scipy' in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -185,6 +219,72 @@ class TestExactChain:
         game = RuinGame(6000, 6000, 2, 3, 0.5)
         y = ruin_exact_chain(game)
         assert 0 < y < 1
+
+
+class TestEqualStakesWalk:
+    """Equal stakes: the unit walk reduced by odd-even censoring."""
+
+    def test_matches_exact_closed_form(self):
+        # both sides, to 1e-12 relative; a value below the float range
+        # must come with the underflow warning instead
+        rng = random.Random(1931)
+        for i in range(60):
+            s = rng.randint(1, 5)
+            a, b = rng.randint(s, 2000), rng.randint(s, 2000)
+            p = rng.uniform(0.05, 0.95) if i % 2 else 0.5 + rng.uniform(-1e-3, 1e-3)
+            game = RuinGame(a, b, s, s, p)
+            for side, solve in (("A", ruin_exact_chain), ("B", ruin_chain_b_side)):
+                exact = equal_stakes_exact(game, side)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    y = solve(game)
+                if exact[0] / exact[1] < sys.float_info.min:
+                    assert y < sys.float_info.min and len(caught) == 1, (game, side)
+                    continue
+                assert not caught, (game, side)
+                assert within(y, exact, 1e-12), (game, side)
+
+    @pytest.mark.parametrize("game", [
+        RuinGame(5602, 5605, 1, 1, 0.500256),  # the banded solve is 6.4e-12 off
+        RuinGame(4871, 5021, 2, 2, 0.500273),
+    ])
+    def test_long_near_fair_walks_to_1e13(self, game):
+        for side, solve in (("A", ruin_exact_chain), ("B", ruin_chain_b_side)):
+            assert within(solve(game), equal_stakes_exact(game, side), 1e-13)
+
+    @pytest.mark.parametrize("game", [
+        RuinGame(3, 5, 3, 3, 0.3),  # one state
+        RuinGame(4, 9, 4, 4, 0.7),  # two states
+        RuinGame(50, 60, 2, 2, Fraction(2, 3)),
+        RuinGame(61, 40, 3, 3, Fraction(5, 11)),
+    ])
+    def test_short_walks_and_fraction_p(self, game):
+        for side, solve in (("A", ruin_exact_chain), ("B", ruin_chain_b_side)):
+            assert within(solve(game), equal_stakes_exact(game, side), 1e-14)
+
+    def test_residual_certificate(self, monkeypatch):
+        from certiprob import ruin
+
+        unit_walk = ruin._unit_walk
+
+        def off_by_1e9(*args):
+            return unit_walk(*args) + 1e-9
+
+        monkeypatch.setattr(ruin, "_unit_walk", off_by_1e9)
+        game = RuinGame(30, 40, 2, 2, 0.45)
+        with pytest.raises(ArithmeticError):
+            ruin_exact_chain(game)  # tol 1e-10
+        with pytest.raises(ArithmeticError):
+            ruin_chain_b_side(game)
+        assert 0 < ruin_exact_chain(game, tol=1e-8) < 1
+
+    @pytest.mark.parametrize("solve, p", [(ruin_exact_chain, 0.9), (ruin_chain_b_side, 0.1)])
+    def test_underflow_is_named(self, solve, p):
+        # about 9**-400, 10**-381.7: below the float range
+        game = RuinGame(400, 400, 1, 1, p)
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                f"ruin probability underflows the float range in {game!r}")):
+            assert solve(game) == 0.0
 
 
 class TestRootEquation:
